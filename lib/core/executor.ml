@@ -106,8 +106,7 @@ let node_string_value ctx id : string =
   let buf = Buffer.create 64 in
   let rec go id =
     let values = Structure_tree.value_pointers tree id in
-    Array.iter
-      (fun entry ->
+    Structure_tree.iter_child_entries tree id (fun entry ->
         if entry >= 0 then begin
           if not (is_attr_code ctx (Structure_tree.tag tree entry)) then go entry
         end
@@ -117,7 +116,6 @@ let node_string_value ctx id : string =
           let cont = container ctx cid in
           Buffer.add_string buf (decompress_cval cont (Container.get cont idx).Container.code)
         end)
-      (Structure_tree.child_entries tree id)
   in
   go id;
   Buffer.contents buf
@@ -132,8 +130,7 @@ let rec reconstruct ctx id : Xmlkit.Tree.t =
   let values = Structure_tree.value_pointers tree id in
   let attrs = ref [] in
   let kids = ref [] in
-  Array.iter
-    (fun entry ->
+  Structure_tree.iter_child_entries tree id (fun entry ->
       if entry >= 0 then begin
         let ctag = tag_name ctx (Structure_tree.tag tree entry) in
         if String.length ctag > 0 && ctag.[0] = '@' then begin
@@ -153,8 +150,7 @@ let rec reconstruct ctx id : Xmlkit.Tree.t =
         kids :=
           Xmlkit.Tree.Text (decompress_cval cont (Container.get cont idx).Container.code)
           :: !kids
-      end)
-    (Structure_tree.child_entries tree id);
+      end);
   Xmlkit.Tree.Element (tag, List.rev !attrs, List.rev !kids)
   end
 
@@ -1102,8 +1098,9 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
       let tree = ctx.repo.Repository.tree in
       (* the virtual document node (-1) has node 0 as its only child and
          every node as descendant *)
-      let node_children id =
-        if id = doc_node_id then [ 0 ] else Structure_tree.child_nodes tree id
+      let children_where id keep =
+        if id = doc_node_id then (if keep (Structure_tree.tag tree 0) then [ 0 ] else [])
+        else Structure_tree.children_where tree id keep
       in
       let desc_range id =
         if id = doc_node_id then (0, Structure_tree.node_count tree - 1)
@@ -1114,11 +1111,8 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
         | Ast.Child, Ast.Name n -> (
           match tag_code ctx n with
           | None -> []
-          | Some code ->
-            node_children id |> List.filter (fun c -> Structure_tree.tag tree c = code))
-        | Ast.Child, Ast.Any ->
-          node_children id
-          |> List.filter (fun c -> not (is_attr_code ctx (Structure_tree.tag tree c)))
+          | Some code -> children_where id (fun tg -> tg = code))
+        | Ast.Child, Ast.Any -> children_where id (fun tg -> not (is_attr_code ctx tg))
         | Ast.Descendant, Ast.Name n -> (
           match tag_code ctx n with
           | None -> []

@@ -1,8 +1,12 @@
 (** Succinct bitvector with two-level rank/select directories — the
     substrate of the balanced-parentheses structure tree (repository
-    format v4). Only the raw bits are serialized; the directories
-    (cumulative popcounts per 512-bit superblock, per-64-bit-block
-    counts) are rebuilt at load time. *)
+    format v4). Only the raw bits are serialized, and those on-disk
+    bytes are the packed bits alone. In memory the bits sit in a copy
+    padded to whole 64-bit words, and the directories (cumulative
+    popcounts per 512-bit superblock, per-64-bit-word counts) are
+    rebuilt at load time, word by word: [rank1] is two directory
+    lookups plus one masked popcount of a 64-bit word, and [select]
+    ends in a 256x8 select-in-byte table. *)
 
 (** An immutable bitvector with rank/select support. *)
 type t
@@ -20,9 +24,10 @@ val zeros : t -> int
     range. *)
 val get : t -> int -> bool
 
-(** [of_bytes ~len data] wraps [len] bits packed LSB-first, 8 per byte.
-    Takes ownership of [data] ([(len+7)/8] bytes; padding bits are
-    zeroed) and builds the rank directories. *)
+(** [of_bytes ~len data] builds a vector from [len] bits packed
+    LSB-first, 8 per byte ([(len+7)/8] bytes). The bits are copied into
+    a word-padded buffer (bits past [len] read as zero); [data] is not
+    retained. *)
 val of_bytes : len:int -> Bytes.t -> t
 
 (** [init len f] builds a bitvector with bit [i] set iff [f i]. *)
@@ -42,8 +47,15 @@ val select1 : t -> int -> int
 (** [select0 t k]: position of the [k]-th clear bit, 1-based. *)
 val select0 : t -> int -> int
 
-(** Bytes of raw bit data (what {!serialize} writes past the length). *)
+(** Bytes of raw bit data (what {!serialize} writes past the length):
+    [(length t + 7) / 8]. *)
 val data_bytes : t -> int
+
+(** The in-memory backing store: the packed bits, LSB-first, followed
+    by zero padding up to a whole number of 64-bit words (so its length
+    is at least {!data_bytes}). For table-driven scans such as
+    {!Bp_tree}'s excess search; callers must not mutate it. *)
+val raw_bytes : t -> Bytes.t
 
 (** Compact on-storage footprint of the rank directory (4 B per
     superblock + 2 B per block) — charged to the occupancy breakdown
@@ -54,13 +66,19 @@ val overhead_bytes : t -> int
 val serialize : Buffer.t -> t -> unit
 
 (** [deserialize s pos] inverts {!serialize}, returning the vector and
-    the position past it. Raises [Failure] on truncated input. *)
+    the position past it. Raises [Failure] on corrupt input: a
+    truncated varint or bit payload, or a negative or oversized
+    length. *)
 val deserialize : string -> int -> t * int
 
 (** Wavelet tree over an integer-code sequence (the structure tree's
-    tag array): [access]/[rank]/[select] in O(width) bitvector
-    operations, stored as [width] level bitvectors of [n] bits in the
-    pointerless levelwise layout. *)
+    tag array), stored as [width] level bitvectors of [n] bits in the
+    pointerless levelwise layout. A per-level node directory, rebuilt
+    at load and never serialized, records for each non-empty wavelet
+    node its interval start, the level's rank at that start, its zero
+    count and its child nodes; it is bounded by the number of distinct
+    code prefixes. With it [access] and [rank] cost one bitvector rank
+    per level and [select] one select per level. *)
 module Wavelet : sig
   (** An immutable code sequence with rank/select by code. *)
   type t
@@ -95,10 +113,11 @@ module Wavelet : sig
   val overhead_bytes : t -> int
 
   (** Append varint [length], varint [width], then each level's packed
-      bits (directories are rebuilt at load). *)
+      bits (the rank and node directories are rebuilt at load). *)
   val serialize : Buffer.t -> t -> unit
 
   (** [deserialize s pos] inverts {!serialize}, returning the tree and
-      the position past it. Raises [Failure] on corrupt input. *)
+      the position past it. Raises [Failure] on corrupt input
+      (truncated, negative or oversized lengths, bad width). *)
   val deserialize : string -> int -> t * int
 end

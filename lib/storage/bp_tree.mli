@@ -2,8 +2,12 @@
     format v4's pointer-free structure tree. The document shape is 2n
     bits ('(' = open, ')' = close, document order); node ids are
     pre-order ranks, so node [i] sits at the position of the [i+1]-th
-    set bit and all navigation is rank/select plus excess search
-    backed by a 256-bit-block range-min directory. *)
+    set bit and all navigation is rank/select plus excess search.
+    Excess search steps bit by bit only to a byte boundary, then byte by
+    byte through per-byte excess tables, and jumps 256-bit blocks with a
+    range-min directory. The directory is in-memory only, rebuilt at
+    load, and the byte tables are constants: the stored form is the raw
+    bitvector alone. *)
 
 (** A parsed balanced-parentheses sequence with navigation support. *)
 type t
@@ -34,9 +38,6 @@ val node_of_open : t -> int -> int
 (** [findclose t p]: position of the close matching the open at [p]. *)
 val findclose : t -> int -> int
 
-(** [findopen t c]: position of the open matching the close at [c]. *)
-val findopen : t -> int -> int
-
 (** [enclose t p]: open position of the nearest enclosing node of the
     open at [p], or [None] at the root. *)
 val enclose : t -> int -> int option
@@ -53,6 +54,11 @@ val first_child : t -> int -> int option
 
 (** Next sibling in document order, if any. *)
 val next_sibling : t -> int -> int option
+
+(** [fold_children t i f init] folds [f] over the children of [i] in
+    document order. It walks the children's closes: one select for [i]
+    and one findclose per child, no rank. *)
+val fold_children : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 (** All children of [i] in document order. *)
 val children : t -> int -> int list

@@ -42,34 +42,34 @@ let next_sibling t id = Bp_tree.next_sibling t.bp id
 (** Nodes in the subtree of [id], including [id]. *)
 let subtree_size t id = Bp_tree.subtree_size t.bp id
 
-(** Raw child entries (node ids and text markers), document order —
-    reconstructed by merging the BP children with the marker
-    positions. *)
-let child_entries t id =
-  let kids = Array.of_list (Bp_tree.children t.bp id) in
+(** Child entries of [id] in document order — the BP children walk
+    with the text markers merged in on the fly: marker [s] goes right
+    before the child whose index is [marks.(s)], or after the last
+    child. *)
+let iter_child_entries t id f =
   let mk = t.marks.(id) in
-  let m = Array.length mk in
-  if m = 0 then kids
-  else begin
-    let c = Array.length kids in
-    let out = Array.make (c + m) 0 in
-    let ci = ref 0 and oi = ref 0 in
-    for s = 0 to m - 1 do
-      while !ci < mk.(s) do
-        out.(!oi) <- kids.(!ci);
-        incr ci;
-        incr oi
-      done;
-      out.(!oi) <- -(s + 1);
-      incr oi
-    done;
-    while !ci < c do
-      out.(!oi) <- kids.(!ci);
-      incr ci;
-      incr oi
-    done;
-    out
-  end
+  let s = ref 0 in
+  let markers_before ci =
+    while !s < Array.length mk && mk.(!s) <= ci do
+      f (-(!s + 1));
+      incr s
+    done
+  in
+  let nkids =
+    Bp_tree.fold_children t.bp id
+      (fun ci c ->
+        markers_before ci;
+        f c;
+        ci + 1)
+      0
+  in
+  markers_before nkids
+
+(** Raw child entries (node ids and text markers), document order. *)
+let child_entries t id =
+  let acc = ref [] in
+  iter_child_entries t id (fun e -> acc := e :: !acc);
+  Array.of_list (List.rev !acc)
 
 let structural_id t id =
   Ids.Structural.make ~pre:id ~post:(Bp_tree.post_rank t.bp id)
@@ -80,9 +80,16 @@ let structural_id t id =
 let is_ancestor t ~ancestor ~descendant =
   Bp_tree.is_ancestor t.bp ~ancestor ~descendant
 
+(** Children whose tag code satisfies [keep], document order, in one
+    pass over the BP children walk. *)
+let children_where t id keep =
+  List.rev
+    (Bp_tree.fold_children t.bp id
+       (fun acc c -> if keep (Bitvec.Wavelet.access t.tags c) then c :: acc else acc)
+       [])
+
 (** children with a given tag code, preserving document order. *)
-let children_with_tag t id tag_code =
-  child_nodes t id |> List.filter (fun c -> Bitvec.Wavelet.access t.tags c = tag_code)
+let children_with_tag t id tag_code = children_where t id (fun tg -> tg = tag_code)
 
 (** Last descendant (pre id) of [id]: descendants are exactly the pre ids
     in (id, last_descendant id]. *)
@@ -126,13 +133,6 @@ let remap_values (t : t) (remap : int -> int array option) : unit =
           | None -> ignore (node, ptrs))
         ptrs)
     t.values
-
-(** Look a node up through the succinct directory (the honest on-storage
-    access path): select1 to the node's open parenthesis, rank1 back to
-    its pre rank. Array indexing is its in-memory shortcut. *)
-let find t id =
-  if id < 0 || id >= node_count t then None
-  else Some (Bp_tree.node_of_open t.bp (Bp_tree.pos_of_node t.bp id))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -305,7 +305,7 @@ let serialize_succinct buf (t : t) =
     if Array.length t.values.(id) > 0 then begin
       let m = Array.length t.marks.(id) in
       add_varint buf m;
-      if m > 0 && Bp_tree.degree t.bp id > 0 then
+      if m > 0 && Bp_tree.first_child t.bp id <> None then
         Compress.Ipack.add_deltas buf t.marks.(id)
     end
   done
@@ -330,7 +330,7 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
     if Array.length idxs > 0 then begin
       let (m, p) = read_varint s !pos in
       pos := p;
-      if m > 0 && Bp_tree.degree bp id > 0 then begin
+      if m > 0 && Bp_tree.first_child bp id <> None then begin
         let (mk, p) = Compress.Ipack.read_deltas s !pos in
         pos := p;
         if Array.length mk <> m then failwith "structure_tree: marker count mismatch";
@@ -411,7 +411,7 @@ let forward_only_bytes (t : t) =
   for id = 0 to node_count t - 1 do
     let m = Array.length t.marks.(id) in
     Compress.Rle.add_varint buf m;
-    if m > 0 && Bp_tree.degree t.bp id > 0 then Compress.Ipack.add_deltas buf t.marks.(id)
+    if m > 0 && Bp_tree.first_child t.bp id <> None then Compress.Ipack.add_deltas buf t.marks.(id)
   done;
   Buffer.length buf
 

@@ -29,6 +29,11 @@ val value_pointers : t -> int -> (int * int) array
 (** Raw child entries (node ids and text markers), document order. *)
 val child_entries : t -> int -> int array
 
+(** [iter_child_entries t id f] calls [f] on each of {!child_entries}
+    in order, merging text markers into one walk over the children
+    without building the array. *)
+val iter_child_entries : t -> int -> (int -> unit) -> unit
+
 (** Child element/attribute node ids only. *)
 val child_nodes : t -> int -> int list
 
@@ -52,6 +57,11 @@ val is_ancestor : t -> ancestor:int -> descendant:int -> bool
     document order. *)
 val children_with_tag : t -> int -> int -> int list
 
+(** [children_where t node keep]: child node ids whose tag code
+    satisfies [keep], document order, filtered in one pass over the
+    children walk. *)
+val children_where : t -> int -> (int -> bool) -> int list
+
 (** Descendants of a node occupy the pre-id range (id, last_descendant]. *)
 val last_descendant : t -> int -> int
 
@@ -69,10 +79,6 @@ val remap_values : t -> (int -> int array option) -> unit
 (** Redirect one value pointer slot to a different container (used when
     splitting containers during recompression). *)
 val set_value_container : t -> node:int -> slot:int -> container:int -> unit
-
-(** Lookup through the succinct directory (select1 to the open paren,
-    rank1 back) — the honest on-storage access path. *)
-val find : t -> int -> int option
 
 (** {2 Document-order construction} *)
 

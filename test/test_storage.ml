@@ -566,15 +566,6 @@ let test_tree_navigation () =
   let all_desc = Structure_tree.descendants tree 0 in
   Alcotest.(check int) "descendants of root" 8 (List.length all_desc)
 
-let test_tree_find_via_index () =
-  let repo = small_repo () in
-  let tree = repo.Repository.tree in
-  for id = 0 to Structure_tree.node_count tree - 1 do
-    Alcotest.(check (option int)) "find through sparse index" (Some id)
-      (Structure_tree.find tree id)
-  done;
-  Alcotest.(check (option int)) "out of range" None (Structure_tree.find tree 999)
-
 let test_summary_matching () =
   let repo = small_repo () in
   let s = repo.Repository.summary in
@@ -789,6 +780,62 @@ let test_repository_v3_fixture () =
       "document(\"v3_small.xml\")//item/price";
     ]
 
+(* The committed v4 fixture: test/fixtures/v4_small.xml (XMark, scale
+   0.02, seed 1) compressed with the workload v4_small.xq by the v4
+   writer. It pins the v4 bytes: any change to the succinct encoding,
+   the codecs or the workload-driven configuration shows up here. *)
+let v4_fixture_queries =
+  [
+    "for $p in document(\"v4_small.xml\")/site/people/person where $p/@id = \"person0\" \
+     return $p/name";
+    "document(\"v4_small.xml\")/site/regions//item/name";
+    "for $o in document(\"v4_small.xml\")/site/open_auctions/open_auction where $o/initial \
+     > 10 return $o/bidder/increase";
+  ]
+
+(* Stanzas of a workload file, separated by lines holding only ";;". *)
+let workload_stanzas body =
+  String.split_on_char '\n' body
+  |> List.fold_left
+       (fun (acc, cur) line ->
+         if String.trim line = ";;" then (List.rev cur :: acc, []) else (acc, line :: cur))
+       ([], [])
+  |> (fun (acc, cur) -> List.rev (List.rev cur :: acc))
+  |> List.filter_map (fun lines ->
+         match String.trim (String.concat "\n" lines) with "" -> None | q -> Some q)
+
+let test_repository_v4_fixture_answers () =
+  let data = read_fixture "v4_small.xqc" in
+  Alcotest.(check string) "fixture is v4" "XQC\x04" (String.sub data 0 4);
+  let repo = Repository.deserialize data in
+  let doc = Xmlkit.Parser.parse_string (read_fixture "v4_small.xml") in
+  List.iter
+    (fun q ->
+      let ast = Xquery.Parser.parse q in
+      let expected =
+        Baselines.Galax_like.serialize
+          (Baselines.Galax_like.run ~docs:[ ("v4_small.xml", doc) ] ast)
+      in
+      let got = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo ast) in
+      Alcotest.(check bool) (q ^ " non-empty") true (got <> "");
+      Alcotest.(check string) (q ^ " matches Galax-like") expected got)
+    v4_fixture_queries
+
+let test_repository_v4_fixture_resave () =
+  let data = read_fixture "v4_small.xqc" in
+  Alcotest.(check bool) "load -> save is byte-identical" true
+    (String.equal data (Repository.serialize ~format:`V4 (Repository.deserialize data)))
+
+let test_repository_v4_fixture_recompress () =
+  let workload = workload_stanzas (read_fixture "v4_small.xq") in
+  Alcotest.(check int) "workload stanzas" 3 (List.length workload);
+  let engine =
+    Xquec_core.Engine.load ~name:"v4_small.xml" ~workload (read_fixture "v4_small.xml")
+  in
+  Alcotest.(check bool) "compressing again is byte-identical" true
+    (String.equal (read_fixture "v4_small.xqc")
+       (Repository.serialize ~format:`V4 (Xquec_core.Engine.repo engine)))
+
 let test_v3_v4_query_identity () =
   (* the same document serialized as v3 and as v4 must answer the whole
      XMark workload identically, and the v4 image must round-trip
@@ -889,7 +936,6 @@ let suites =
         Alcotest.test_case "distinct_parents persisted / recomputed" `Quick test_distinct_parents_persisted;
         Alcotest.test_case "bare-element predicate pruned" `Quick test_bare_element_predicate_pruned;
         Alcotest.test_case "structure tree navigation" `Quick test_tree_navigation;
-        Alcotest.test_case "B+ index lookup" `Quick test_tree_find_via_index;
         Alcotest.test_case "summary matching" `Quick test_summary_matching;
         Alcotest.test_case "summary is small" `Quick test_summary_node_count;
         Alcotest.test_case "repository roundtrip" `Slow test_repository_roundtrip;
@@ -897,6 +943,12 @@ let suites =
         Alcotest.test_case "repository v1 fixture read" `Quick test_repository_v1_fixture;
         Alcotest.test_case "repository v2 read compat" `Quick test_repository_v2_read_compat;
         Alcotest.test_case "repository v3 fixture read" `Quick test_repository_v3_fixture;
+        Alcotest.test_case "repository v4 fixture answers" `Quick
+          test_repository_v4_fixture_answers;
+        Alcotest.test_case "repository v4 fixture re-save" `Quick
+          test_repository_v4_fixture_resave;
+        Alcotest.test_case "repository v4 fixture re-compress" `Quick
+          test_repository_v4_fixture_recompress;
         Alcotest.test_case "v3 vs v4 query identity" `Quick test_v3_v4_query_identity;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
         Alcotest.test_case "packed tree round-trip" `Quick test_packed_tree_roundtrip;

@@ -12,8 +12,8 @@ let rng = Random.State.make [| 0x5ecc; 0x7ee |]
 (* Bitvec                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check_bitvec len =
-  let bits = Array.init len (fun _ -> Random.State.bool rng) in
+let check_bitvec ?(density = 0.5) len =
+  let bits = Array.init len (fun _ -> Random.State.float rng 1.0 < density) in
   let bv = Bitvec.init len (fun i -> bits.(i)) in
   Alcotest.(check int) (Printf.sprintf "len %d" len) len (Bitvec.length bv);
   let r1 = ref 0 in
@@ -47,43 +47,72 @@ let check_bitvec len =
   done
 
 let test_bitvec_differential () =
-  (* edge lengths straddle byte, block (64) and superblock (512)
-     boundaries *)
-  List.iter check_bitvec [ 0; 1; 7; 8; 63; 64; 65; 511; 512; 513; 1000; 5000; 20000 ]
+  (* edge lengths straddle byte, word (64) and superblock (512)
+     boundaries; rank1 is checked at every i, i = len included, so
+     whole-word and whole-superblock lengths hit the directories' entry
+     past the last word. All-ones words exercise the popcount's top
+     bit, sparse and dense vectors the select samples. *)
+  List.iter (fun len -> check_bitvec len)
+    [ 0; 1; 7; 8; 63; 64; 65; 128; 511; 512; 513; 1000; 1024; 1536; 5000; 20000 ];
+  List.iter
+    (fun density -> List.iter (check_bitvec ~density) [ 64; 448; 512; 4096 ])
+    [ 0.0; 0.02; 0.98; 1.0 ]
+
+let test_corrupt_lengths_typed () =
+  (* a 9-byte varint decoding negative, and a truncated varint, are
+     corruption ([Failure]), not [Invalid_argument] *)
+  let negative = String.make 8 '\xff' ^ "\x40" in
+  let failure name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": accepted")
+    | exception Failure _ -> ()
+    | exception e -> Alcotest.fail (name ^ ": raised " ^ Printexc.to_string e)
+  in
+  failure "Bitvec negative length" (fun () -> ignore (Bitvec.deserialize negative 0));
+  failure "Wavelet negative length" (fun () -> ignore (Bitvec.Wavelet.deserialize negative 0));
+  failure "Wavelet negative width" (fun () ->
+      ignore (Bitvec.Wavelet.deserialize ("\x01" ^ negative) 0));
+  failure "Bitvec truncated varint" (fun () -> ignore (Bitvec.deserialize "\xff" 0));
+  failure "Wavelet truncated varint" (fun () -> ignore (Bitvec.Wavelet.deserialize "\xff" 0));
+  failure "Bitvec oversized length" (fun () -> ignore (Bitvec.deserialize "\xff\x7f\x00" 0));
+  failure "Bitvec read past end" (fun () -> ignore (Bitvec.deserialize "\x08" 5))
 
 (* ------------------------------------------------------------------ *)
 (* Wavelet                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let check_wavelet n sigma =
-  let codes = Array.init n (fun _ -> Random.State.int rng sigma) in
-  let width = Bitvec.Wavelet.width_for (sigma - 1) in
+(* Differential check of access/rank/select against linear scans;
+   [probe] lists the codes to rank and select, present or not. *)
+let check_wavelet_codes ~width codes ~probe =
+  let n = Array.length codes in
   let wt = Bitvec.Wavelet.build ~width codes in
   for i = 0 to n - 1 do
     Alcotest.(check int) (Printf.sprintf "access %d" i) codes.(i) (Bitvec.Wavelet.access wt i)
   done;
-  for c = 0 to sigma - 1 do
-    let cnt = ref 0 in
-    for i = 0 to n do
-      Alcotest.(check int)
-        (Printf.sprintf "rank c=%d i=%d" c i)
-        !cnt
-        (Bitvec.Wavelet.rank wt ~code:c i);
-      if i < n && codes.(i) = c then incr cnt
-    done;
-    let k = ref 0 in
-    Array.iteri
-      (fun i ci ->
-        if ci = c then begin
-          incr k;
-          Alcotest.(check (option int))
-            (Printf.sprintf "select c=%d k=%d" c !k)
-            (Some i)
-            (Bitvec.Wavelet.select wt ~code:c !k)
-        end)
-      codes;
-    Alcotest.(check (option int)) "select past end" None (Bitvec.Wavelet.select wt ~code:c (!k + 1))
-  done;
+  List.iter
+    (fun c ->
+      let cnt = ref 0 in
+      for i = 0 to n do
+        Alcotest.(check int)
+          (Printf.sprintf "rank c=%d i=%d" c i)
+          !cnt
+          (Bitvec.Wavelet.rank wt ~code:c i);
+        if i < n && codes.(i) = c then incr cnt
+      done;
+      let k = ref 0 in
+      Array.iteri
+        (fun i ci ->
+          if ci = c then begin
+            incr k;
+            Alcotest.(check (option int))
+              (Printf.sprintf "select c=%d k=%d" c !k)
+              (Some i)
+              (Bitvec.Wavelet.select wt ~code:c !k)
+          end)
+        codes;
+      Alcotest.(check (option int)) "select past end" None
+        (Bitvec.Wavelet.select wt ~code:c (!k + 1)))
+    probe;
   let buf = Buffer.create 16 in
   Bitvec.Wavelet.serialize buf wt;
   let (wt2, consumed) = Bitvec.Wavelet.deserialize (Buffer.contents buf) 0 in
@@ -91,6 +120,24 @@ let check_wavelet n sigma =
   for i = 0 to n - 1 do
     Alcotest.(check int) "wavelet roundtrip" codes.(i) (Bitvec.Wavelet.access wt2 i)
   done
+
+let check_wavelet n sigma =
+  let codes = Array.init n (fun _ -> Random.State.int rng sigma) in
+  check_wavelet_codes ~width:(Bitvec.Wavelet.width_for (sigma - 1)) codes
+    ~probe:(List.init sigma Fun.id)
+
+let test_wavelet_sparse_alphabet () =
+  (* five codes spread over a width-8 alphabet: most wavelet nodes are
+     empty, so descents for absent codes run into the node directory's
+     empty-child (-1) entries *)
+  let alphabet = [| 0; 1; 37; 200; 255 |] in
+  List.iter
+    (fun n ->
+      let codes = Array.init n (fun _ -> alphabet.(Random.State.int rng 5)) in
+      check_wavelet_codes ~width:8 codes ~probe:(List.init 256 Fun.id))
+    [ 1; 63; 64; 65; 700 ];
+  (* a single repeated code leaves one path of non-empty nodes *)
+  check_wavelet_codes ~width:8 (Array.make 100 37) ~probe:[ 0; 36; 37; 38; 255 ]
 
 let test_wavelet_differential () =
   List.iter
@@ -159,10 +206,7 @@ let check_bp (parents : int array) =
         after children.(parents.(i))
     in
     Alcotest.(check (option int)) "next_sibling" ns (Bp_tree.next_sibling bp i);
-    (* findopen inverts findclose, and positions map back to ids *)
     let p = Bp_tree.pos_of_node bp i in
-    let c = Bp_tree.findclose bp p in
-    Alcotest.(check int) "findopen . findclose = id" p (Bp_tree.findopen bp c);
     Alcotest.(check int) "node_of_open" i (Bp_tree.node_of_open bp p)
   done;
   for _ = 1 to min 2000 (n * n) do
@@ -209,6 +253,87 @@ let test_bp_wide_flat () =
 
 let test_bp_random_trees () =
   List.iter (fun n -> check_bp (random_preorder_parents n)) [ 50; 200; 1000; 4000; 20000 ]
+
+(* Random balanced sequences of [len] bits (even), one tree or a forest,
+   opens drawn with probability [p_open] while both are possible. *)
+let random_bp ~len ~p_open ~forest =
+  let bits = Array.make len false in
+  let e = ref 0 in
+  for j = 0 to len - 1 do
+    let remaining = len - j in
+    let must_close = !e >= remaining in
+    let can_close = !e > (if forest || j = 0 then 0 else 1) || (!e = 1 && remaining = 1) in
+    let opn =
+      if must_close then false
+      else if !e = 0 then true
+      else if not can_close then true
+      else Random.State.float rng 1.0 < p_open
+    in
+    bits.(j) <- opn;
+    e := !e + if opn then 1 else -1
+  done;
+  bits
+
+(* findclose / enclose / parent (fwd_search and bwd_search) against a
+   stack scan of the same bits, at every node. *)
+let check_bp_excess_vs_scan bits =
+  let len = Array.length bits in
+  let bp = Bp_tree.of_bits (Bitvec.init len (fun i -> bits.(i))) in
+  let close = Array.make len (-1) and encl = Array.make len (-1) in
+  let node = Array.make len (-1) and opens = ref [] and stack = ref [] in
+  Array.iteri
+    (fun j b ->
+      if b then begin
+        encl.(j) <- (match !stack with q :: _ -> q | [] -> -1);
+        node.(j) <- List.length !opens;
+        opens := j :: !opens;
+        stack := j :: !stack
+      end
+      else
+        match !stack with
+        | q :: rest ->
+          close.(q) <- j;
+          stack := rest
+        | [] -> Alcotest.fail "generator produced an unbalanced sequence")
+    bits;
+  let opens = Array.of_list (List.rev !opens) in
+  Alcotest.(check int) "node count" (Array.length opens) (Bp_tree.node_count bp);
+  Array.iteri
+    (fun i p ->
+      let tag = Printf.sprintf "len %d node %d" len i in
+      Alcotest.(check int) (tag ^ " pos_of_node") p (Bp_tree.pos_of_node bp i);
+      Alcotest.(check int) (tag ^ " node_of_open") i (Bp_tree.node_of_open bp p);
+      Alcotest.(check int) (tag ^ " findclose") close.(p) (Bp_tree.findclose bp p);
+      Alcotest.(check (option int)) (tag ^ " enclose")
+        (if encl.(p) < 0 then None else Some encl.(p))
+        (Bp_tree.enclose bp p);
+      Alcotest.(check int) (tag ^ " parent")
+        (if encl.(p) < 0 then -1 else node.(encl.(p)))
+        (Bp_tree.parent bp i);
+      Alcotest.(check int) (tag ^ " subtree_size") ((close.(p) - p + 1) / 2)
+        (Bp_tree.subtree_size bp i);
+      let kids = ref [] and q = ref (p + 1) in
+      while bits.(!q) do
+        kids := node.(!q) :: !kids;
+        q := close.(!q) + 1
+      done;
+      Alcotest.(check (list int)) (tag ^ " children") (List.rev !kids) (Bp_tree.children bp i);
+      Alcotest.(check (option int)) (tag ^ " next_sibling")
+        (if close.(p) + 1 < len && bits.(close.(p) + 1) then Some node.(close.(p) + 1) else None)
+        (Bp_tree.next_sibling bp i))
+    opens
+
+let test_bp_excess_vs_naive_scan () =
+  (* bit lengths = 2, 4, 6 (mod 8), so the last byte is partial, and
+     straddling the 64-bit word and 256-bit block boundaries; shallow
+     and deep shapes, single trees and forests *)
+  List.iter
+    (fun len ->
+      Alcotest.(check bool) "partial last byte" true (len mod 8 <> 0);
+      List.iter
+        (fun (p_open, forest) -> check_bp_excess_vs_scan (random_bp ~len ~p_open ~forest))
+        [ (0.5, false); (0.5, true); (0.8, false); (0.3, false); (0.95, false) ])
+    [ 2; 6; 58; 62; 66; 70; 250; 252; 254; 258; 260; 262; 514; 1020; 1030; 2050; 4094 ]
 
 let test_bp_rejects_malformed () =
   let of_bools l =
@@ -282,11 +407,16 @@ let suites =
     ( "succinct",
       [
         Alcotest.test_case "bitvec rank/select differential" `Quick test_bitvec_differential;
+        Alcotest.test_case "bitvec/wavelet corrupt lengths are typed" `Quick
+          test_corrupt_lengths_typed;
         Alcotest.test_case "wavelet differential" `Quick test_wavelet_differential;
+        Alcotest.test_case "wavelet sparse alphabet" `Quick test_wavelet_sparse_alphabet;
         Alcotest.test_case "bp edge shapes" `Quick test_bp_edge_shapes;
         Alcotest.test_case "bp deep right spine" `Quick test_bp_deep_spine;
         Alcotest.test_case "bp wide flat tree" `Quick test_bp_wide_flat;
         Alcotest.test_case "bp random trees" `Quick test_bp_random_trees;
+        Alcotest.test_case "bp excess search vs naive scan" `Quick
+          test_bp_excess_vs_naive_scan;
         Alcotest.test_case "bp rejects malformed input" `Quick test_bp_rejects_malformed;
         Alcotest.test_case "tree navigation differential" `Quick
           test_tree_differential_vs_pointer_semantics;
