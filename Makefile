@@ -18,13 +18,11 @@ build:
 
 # tier-1 gate: everything compiles and the full test suite passes,
 # including (called out explicitly because the fixtures live on disk)
-# the v1- and v3-format backward-compatibility reads of
-# test/fixtures/v1_small.xqc and test/fixtures/v3_small.xqc.
-# The storage suite runs three times more: with a 4-domain decode pool
-# (parallel block decode exercised everywhere), with 0 domains (the
-# sequential fallback), and with XQUEC_FORMAT=v3 (the v4 kill switch:
-# freshly written images fall back to the packed record tree), all of
-# which must agree with the default run.
+# the v1-, v2- and v3-format backward-compatibility reads of
+# test/fixtures/v1_small.xqc, v2_xmark.xqc, v3_small.xqc and v3_xmark.xqc.
+# The storage suite runs twice more: with a 4-domain decode pool
+# (parallel block decode exercised everywhere) and with 0 domains (the
+# sequential fallback), both of which must agree with the default run.
 # Finally the quick bench gate reruns the fast experiments and diffs
 # their counts and digests against the committed baseline, and a tiny
 # generate -> compress -> query -> profile round-trip asserts the
@@ -35,8 +33,6 @@ check:
 	cd test && dune exec ./test_main.exe -- test storage
 	cd test && XQUEC_DECODE_DOMAINS=4 dune exec ./test_main.exe -- test storage
 	cd test && XQUEC_DECODE_DOMAINS=0 dune exec ./test_main.exe -- test storage
-	cd test && XQUEC_FORMAT=v3 dune exec ./test_main.exe -- test storage
-	cd test && XQUEC_FORMAT=v3 dune exec ./test_main.exe -- test succinct
 	mkdir -p $(GATE_DIR)
 	dune exec bench/main.exe -- --json $(GATE_DIR)/quick.json $(GATE_QUICK_EXPERIMENTS) \
 	  > $(GATE_DIR)/quick.log

@@ -152,28 +152,12 @@ let cf_row ~exp name xml =
   let xp = Baselines.Xpress.compression_factor (Baselines.Xpress.compress xml) in
   let repo = Xquec_core.Loader.load ~name xml in
   let xq = Storage.Repository.compression_factor repo in
-  (* Tree-encoding deltas: how much the succinct (v4) structure tree
-     saves over the packed delta+varint (v3) and the plain-varint
-     legacy (v2) encodings, expressed as the change each makes to the
-     compression factor. CF is the saved fraction (1 - compressed /
-     original), so a fatter tree lowers it. *)
   let sb = Storage.Repository.size_breakdown repo in
-  let cf_with tree_bytes =
-    xq
-    -. float_of_int (tree_bytes - sb.Storage.Repository.tree_bytes)
-       /. float_of_int (String.length xml)
-  in
-  let xq_packed_tree = cf_with sb.Storage.Repository.tree_packed_bytes in
-  let xq_legacy_tree = cf_with sb.Storage.Repository.tree_legacy_bytes in
   record ~exp "row"
     (obj
        [ ("name", str name); ("xmill", num xm); ("xgrind", num xg); ("xpress", num xp);
          ("xquec", num xq);
-         ("tree_succinct_bytes", num (float_of_int sb.Storage.Repository.tree_bytes));
-         ("tree_packed_bytes", num (float_of_int sb.Storage.Repository.tree_packed_bytes));
-         ("tree_legacy_bytes", num (float_of_int sb.Storage.Repository.tree_legacy_bytes));
-         ("xquec_cf_packed_tree", num xq_packed_tree);
-         ("xquec_cf_legacy_tree", num xq_legacy_tree) ]);
+         ("tree_succinct_bytes", num (float_of_int sb.Storage.Repository.tree_bytes)) ]);
   Fmt.pr "%-22s %8.1f%% %8.1f%% %8.1f%% %8.1f%%@." name (100. *. xm) (100. *. xg)
     (100. *. xp) (100. *. xq);
   (xm, xg, xp, xq)
@@ -310,15 +294,10 @@ let storage_occupancy () =
   let sz = Xquec_core.Engine.size_breakdown engine in
   let os = float_of_int repo.Storage.Repository.original_size in
   let pct x = 100.0 *. float_of_int x /. os in
-  (* The v4 acceptance pin: the succinct tree must undercut the v3
-     packed tree, and a v3 image and a v4 image of the same document
-     must answer the whole XMark workload identically. Both facts are
-     recorded exactly (bool/string) so the quick gate trips on any
-     regression. *)
-  let v4_below_v3 = sz.Storage.Repository.tree_bytes < sz.Storage.Repository.tree_packed_bytes in
-  let digest_of format =
-    let image = Storage.Repository.serialize ~format repo in
-    let eng = Xquec_core.Engine.restore image in
+  (* Save/restore must not change a single answer: the digest of the
+     whole XMark workload from the fresh engine and from a restored
+     image is recorded exactly, so the quick gate trips on any drift. *)
+  let digest eng =
     let buf = Buffer.create 4096 in
     List.iter
       (fun (q : Xmark.Queries.query) ->
@@ -326,17 +305,17 @@ let storage_occupancy () =
       Xmark.Queries.all;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let v3_digest = digest_of `V3 and v4_digest = digest_of `V4 in
-  let digests_match = if String.equal v3_digest v4_digest then "match" else "mismatch" in
+  let restored = Xquec_core.Engine.restore (Xquec_core.Engine.save engine) in
+  let digests_match =
+    if String.equal (digest engine) (digest restored) then "match" else "mismatch"
+  in
   record ~exp:"storage_occupancy" "bytes"
     (obj
        [
          ("original", num os);
          ("total", num (float_of_int sz.Storage.Repository.total_bytes));
          ("tree", num (float_of_int sz.Storage.Repository.tree_bytes));
-         ("tree_packed", num (float_of_int sz.Storage.Repository.tree_packed_bytes));
-         ("v4_below_v3", Xquec_obs.Json.Bool v4_below_v3);
-         ("v3_v4_digests", str digests_match);
+         ("restore_digests", str digests_match);
          ("containers", num (float_of_int sz.Storage.Repository.containers_bytes));
          ("models", num (float_of_int sz.Storage.Repository.models_bytes));
          ("summary", num (float_of_int sz.Storage.Repository.summary_bytes));
@@ -348,12 +327,9 @@ let storage_occupancy () =
     sz.Storage.Repository.total_bytes
     (pct sz.Storage.Repository.total_bytes)
     (100.0 *. Xquec_core.Engine.compression_factor engine);
-  Fmt.pr "  structure tree (v4):    %9d bytes (%.1f%%; v3 packed %d, v4 %s it)@."
-    sz.Storage.Repository.tree_bytes
-    (pct sz.Storage.Repository.tree_bytes)
-    sz.Storage.Repository.tree_packed_bytes
-    (if v4_below_v3 then "beats" else "DOES NOT beat");
-  Fmt.pr "  v3/v4 query digests:    %s@." digests_match;
+  Fmt.pr "  structure tree (v4):    %9d bytes (%.1f%%)@." sz.Storage.Repository.tree_bytes
+    (pct sz.Storage.Repository.tree_bytes);
+  Fmt.pr "  save/restore digests:   %s@." digests_match;
   Fmt.pr "  value containers:       %9d bytes (%.1f%%)@." sz.Storage.Repository.containers_bytes
     (pct sz.Storage.Repository.containers_bytes);
   Fmt.pr "  source models:          %9d bytes (%.1f%%)@." sz.Storage.Repository.models_bytes

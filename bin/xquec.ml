@@ -210,18 +210,6 @@ let compress_cmd =
           ~doc:"File of XQuery queries (separated by lines containing ';;') used to choose \
                 the compression configuration (paper §3).")
   in
-  let format =
-    let format_conv =
-      Arg.enum [ ("v4", (`V4 : Storage.Repository.format)); ("v3", `V3) ]
-    in
-    Arg.(
-      value
-      & opt (some format_conv) None
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Repository format to write: $(b,v4) (succinct structure tree, the default) \
-                or $(b,v3) (packed record tree — the kill switch, also reachable via \
-                XQUEC_FORMAT=v3).")
-  in
   let adaptive_blocks =
     Arg.(
       value & flag
@@ -240,9 +228,8 @@ let compress_cmd =
                 --json) report: its block-size recommendations are applied to the \
                 freshly built repository before it is written.")
   in
-  let run input output workload format adaptive_blocks blocks_from stats trace_out =
+  let run input output workload adaptive_blocks blocks_from stats trace_out =
     with_telemetry ~stats ~trace_out @@ fun () ->
-    Option.iter Storage.Repository.set_default_format format;
     let xml = read_file input in
     let name = Filename.basename input in
     let workload_queries = read_workload workload in
@@ -287,7 +274,7 @@ let compress_cmd =
   in
   Cmd.v (Cmd.info "compress" ~doc:"Compress an XML document into a queryable repository")
     Term.(
-      const run $ input $ output $ workload $ format $ adaptive_blocks $ blocks_from
+      const run $ input $ output $ workload $ adaptive_blocks $ blocks_from
       $ stats_flag $ trace_out)
 
 (* --- decompress ----------------------------------------------------- *)
@@ -595,7 +582,7 @@ let compact_cmd =
   in
   let run input output profile container block_size stats trace_out =
     with_telemetry ~stats ~trace_out @@ fun () ->
-    let engine, format = load_engine_any_with_format input in
+    let engine = load_engine_any input in
     let repo = Xquec_core.Engine.repo engine in
     let targets =
       match (profile, (container, block_size)) with
@@ -636,8 +623,6 @@ let compact_cmd =
             r.Storage.Compactor.c_blocks_after r.Storage.Compactor.c_records
             r.Storage.Compactor.c_epoch r.Storage.Compactor.c_wall_ms)
         results;
-    (* keep the input's on-disk format: a v3 repository stays v3 *)
-    if format = "v3" then Storage.Repository.set_default_format `V3;
     let out = Option.value ~default:input output in
     write_file out (Xquec_core.Engine.save engine);
     Fmt.pr "wrote %s@." out

@@ -20,8 +20,6 @@ type event =
 (** Scan the whole compressed stream (the fixed top-down strategy). *)
 val scan : t -> f:(event -> unit) -> unit
 
-val decompress_value : t -> int -> string -> string
-
 (** Exact-match query in the compressed domain: text values at
     [target_path] whose sibling value at [pred_path] equals [value];
     paths are slash-joined with [#text] / [@name] leaves. *)

@@ -12,9 +12,6 @@ val compressed_size : t -> int
 
 val compression_factor : t -> float
 
-(** RAE interval for a (suffix) path, or [None] for unknown tags. *)
-val path_interval : t -> string list -> (float * float) option
-
 type event =
   | Start of string * float  (** tag, quantized path-interval minimum *)
   | End of string

@@ -249,8 +249,6 @@ let prefix_range (m : model) (prefix : string) : string * string option =
   let hi = Option.map (compress m) (next_prefix prefix) in
   (lo, hi)
 
-let model_entries (m : model) = Array.length m.intervals
-
 (* ------------------------------------------------------------------ *)
 (* Model serialization                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -16,13 +16,6 @@ type model
 (** Raised when decompressing bytes no model run produced. *)
 exception Corrupt of string
 
-(** Smallest string strictly greater than every string with prefix [t],
-    or [None] when no such string exists. *)
-val next_prefix : string -> string option
-
-(** Frequent-substring mining over a byte-bounded sample. *)
-val mine_tokens : ?max_tokens:int -> ?sample_bytes:int -> string list -> string list
-
 (** Build a model from an explicit token set (single bytes are always
     included, guaranteeing total coverage). *)
 val of_tokens : string list -> model
@@ -48,9 +41,6 @@ val equal_compressed : string -> string -> bool
     exactly those in [fst, snd) of the result (an extension beyond the
     paper's wild=false classification). *)
 val prefix_range : model -> string -> string * string option
-
-(** Number of partitioning intervals. *)
-val model_entries : model -> int
 
 (** The mined (multi-byte) dictionary tokens; the model is a pure
     function of this list. *)

@@ -15,10 +15,6 @@ exception Corrupt of string
 (** 257: the 256 byte values plus the end-of-string symbol. *)
 val symbol_count : int
 
-(** Model from raw symbol frequencies ({!symbol_count} entries, each
-    forced to at least 1). *)
-val of_freqs : int array -> model
-
 (** Model from the byte frequencies of the training values. *)
 val train : string list -> model
 

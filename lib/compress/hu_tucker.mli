@@ -15,9 +15,6 @@ val symbol_count : int
     depth of each leaf in the optimal alphabetic tree. *)
 val combine : int array -> int array
 
-(** Rebuild an alphabetic prefix code from a valid depth sequence. *)
-val alphabetic_codes : int array -> int array
-
 (** Build a model from per-symbol code lengths ({!symbol_count}
     entries). *)
 val of_lengths : int array -> model

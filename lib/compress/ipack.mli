@@ -56,9 +56,6 @@ val to_float : model -> string -> float
     varints (0→0, −1→1, 1→2, −2→3, …). *)
 val zigzag : int -> int
 
-(** Invert {!zigzag}. *)
-val unzigzag : int -> int
-
 (** [add_deltas buf xs] appends [|xs|] as a varint, then each element as
     the zigzag varint of its difference from the previous one. *)
 val add_deltas : Buffer.t -> int array -> unit

@@ -28,10 +28,6 @@ val create : ?weights:weights -> Repository.t -> Workload.t -> t
     the algorithm cannot represent the values. *)
 val estimate_set : t -> int list -> Compress.Codec.algorithm -> float * float
 
-(** 0 when the predicate runs in the compressed domain under the
-    configuration, else record counts weighted by d_c. *)
-val predicate_cost : t -> configuration -> Workload.predicate -> float
-
 (** Total weighted cost of a configuration (lower is better). *)
 val cost : t -> configuration -> float
 

@@ -71,9 +71,6 @@ val serialize : Repository.t -> item list -> string
 (** {2 Building blocks used by the physical algebra, plans and the
     optimizer} *)
 
-(** Wrap an already-materialized list as a binding (no provenance). *)
-val mat : item list -> binding
-
 (** Force a binding to a concrete item list, expanding the symbolic
     [All_*] forms by walking the structure tree. *)
 val materialize : ctx -> binding -> item list
@@ -94,10 +91,6 @@ val eval : ctx -> env -> Xquery.Ast.expr -> binding
 
 (** Reconstruct the XML subtree rooted at a node id. *)
 val reconstruct : ctx -> int -> Xmlkit.Tree.t
-
-(** String value of an element (all descendant text, attributes
-    excluded). *)
-val node_string_value : ctx -> int -> string
 
 (** One summary step relative to a set of summary nodes. *)
 val advance_snodes : ctx -> Summary.node list -> Xquery.Ast.step -> Summary.node list
@@ -132,9 +125,6 @@ val resolve_value_path :
   Summary.node list ->
   Xquery.Ast.step list ->
   (Container.t * int) list option
-
-(** Containers a value-producing expression statically resolves to. *)
-val static_value_containers : ctx -> env -> Xquery.Ast.expr -> Container.t list option
 
 (** {2 Join key typing} *)
 

@@ -34,9 +34,6 @@ type decision =
   | Decorrelate of { variable : string; op : string; on_codes : bool }
   | Correlated_loop of { variable : string }
 
-(** Render one decision as a human-readable line. *)
-val pp_decision : Format.formatter -> decision -> unit
-
 (** Predict the executor's strategy for a parsed query (no data access). *)
 val explain : Repository.t -> Xquery.Ast.expr -> decision list
 
@@ -48,9 +45,3 @@ val explain_string : Repository.t -> string -> string
     that obtained the profile elsewhere — e.g. the query-logged
     evaluation path — reuse the report format. *)
 val render_profiled : Repository.t -> string -> Xquec_obs.Explain.node -> string
-
-(** EXPLAIN ANALYZE: evaluate the query with an attached profile and
-    render the strategy decisions plus the annotated physical plan
-    (per-operator wall time, cardinalities, compressed-domain vs.
-    decompress-then-compare predicate counts). *)
-val explain_profiled : Repository.t -> string -> string

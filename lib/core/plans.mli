@@ -3,10 +3,6 @@
 
 open Storage
 
-(** Container id whose root-to-leaf path ends with the given suffix
-    (e.g. ["person/name/#text"]); raises if absent or ambiguous. *)
-val find_container : Repository.t -> string -> int
-
 (** Fig. 5: XMark Q9's three-way join on compressed attributes, with
     Decompress at the very top; returns (person name, item name) rows. *)
 val q9 : Repository.t -> (string * string) list

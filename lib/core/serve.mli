@@ -11,8 +11,9 @@
     rules + active set + recent transitions,
     {!Xquec_obs.Alert.snapshot_json}), [GET /compact] (background
     compactor status, {!Storage.Compactor.status_json}) and [GET
-    /healthz] (readiness
-    JSON from {!healthz_json}, intercepting the Expo builtin while
+    /healthz] (readiness JSON [{status:"ok", uptime_s, format, workers,
+    inflight, watchdog:{enabled,ticks,last_tick_unix}}], intercepting
+    the Expo builtin while
     keeping its plain-200 contract). Successful queries return the
     serialized result as [text/plain]; parse or evaluation errors
     return 400 with the exception text; a query tripping an armed
@@ -127,11 +128,6 @@ val stop_watchdog : unit -> unit
 (** Record the repository format string shown by [/healthz] and stamp
     the server start time (uptime baseline). *)
 val set_server_info : ?format:string -> unit -> unit
-
-(** The [GET /healthz] readiness payload: [{status:"ok", uptime_s,
-    format, workers, inflight, watchdog:{enabled,ticks,
-    last_tick_unix}}]. *)
-val healthz_json : unit -> Xquec_obs.Json.t
 
 (** Evaluate one query exactly as the [/query] route does (trim,
     compile through the plan cache, arm budgets, log, observe the SLO

@@ -17,10 +17,6 @@ type predicate = { cls : pred_class; left : int list; right : int list }
     count (the dimension of the {!matrices}). *)
 type t = { predicates : predicate list; container_count : int }
 
-(** Summary nodes a path expression reaches (static, no data access). *)
-val resolve_snodes :
-  Repository.t -> (string * Summary.node list) list -> Xquery.Ast.expr -> Summary.node list
-
 (** Extract the predicates of a set of parsed queries. *)
 val analyze : Repository.t -> Xquery.Ast.expr list -> t
 

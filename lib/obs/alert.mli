@@ -75,9 +75,6 @@ val active : unit -> (string * float) list
 (** Recent transitions, newest first (bounded ring). *)
 val recent : unit -> transition list
 
-(** A transition as its alert-log JSON object. *)
-val transition_json : transition -> Json.t
-
 (** The [GET /alerts] payload: every rule with its configuration and
     live state, the active subset, and the recent transition ring. *)
 val snapshot_json : unit -> Json.t

@@ -103,5 +103,3 @@ let check (h : handle) : unit =
       if elapsed > limit then
         raise (Exceeded { t_kind = "wall_ms"; t_limit = limit; t_observed = elapsed })
     | None -> ())
-
-let check_current () : unit = check (current ())

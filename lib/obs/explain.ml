@@ -164,25 +164,6 @@ let render (root : node) : string =
   go ~is_root:true "" true root;
   Buffer.contents buf
 
-let rec to_json (n : node) : Json.t =
-  Json.Obj
-    [
-      ("op", Json.Str n.op);
-      ("kind", Json.Str n.kind);
-      ("wall_ms", Json.Num (n.wall_us /. 1000.0));
-      ("rows", if n.rows >= 0 then Json.Num (float_of_int n.rows) else Json.Null);
-      ("cmp_compressed", Json.Num (float_of_int n.cmp_compressed));
-      ("cmp_decompressed", Json.Num (float_of_int n.cmp_decompressed));
-      ("cache_hits", Json.Num (float_of_int n.cache_hits));
-      ("cache_misses", Json.Num (float_of_int n.cache_misses));
-      ("cache_waits", Json.Num (float_of_int n.cache_waits));
-      ("blocks_skipped", Json.Num (float_of_int n.blocks_skipped));
-      ("decoded_bytes", Json.Num (float_of_int n.decoded_bytes));
-      ("skipped_bytes", Json.Num (float_of_int n.skipped_bytes));
-      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) n.attrs));
-      ("children", Json.List (List.map to_json (children n)));
-    ]
-
 (** Compact single-line plan shape built from operator kinds, e.g.
     ["root(step(step,predicate))"] — a stable fingerprint for grouping
     query-log records by plan. *)
@@ -193,7 +174,7 @@ let rec shape (n : node) : string =
 
 (** Compact per-operator profile for the query log: one object per
     node with only op/kind/rows/wall_ms/cmp counts (children nested),
-    an order of magnitude smaller than {!to_json}. *)
+    an order of magnitude smaller than the full operator record. *)
 let rec summary_json (n : node) : Json.t =
   Json.Obj
     [

@@ -89,9 +89,6 @@ val totals : node -> totals
 (** Render the tree as the indented text EXPLAIN ANALYZE prints. *)
 val render : node -> string
 
-(** The tree as JSON (one object per node, children nested). *)
-val to_json : node -> Json.t
-
 (** Compact single-line plan shape built from operator kinds, e.g.
     ["root(step(step,predicate))"] — a stable fingerprint for grouping
     query-log records by plan. *)
@@ -99,5 +96,5 @@ val shape : node -> string
 
 (** Compact per-operator profile for the query log: one object per
     node with only op/kind/rows/wall_ms/cmp counts (children nested),
-    an order of magnitude smaller than {!to_json}. *)
+    an order of magnitude smaller than the full operator record. *)
 val summary_json : node -> Json.t

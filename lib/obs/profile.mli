@@ -76,9 +76,6 @@ type agg
 (** A fresh, empty accumulator. *)
 val agg_create : unit -> agg
 
-(** Queries aggregated so far. *)
-val agg_records : agg -> int
-
 (** Fold one query into the accumulator: its predicate observations
     plus the [(container path, decoded bytes)] pairs of the containers
     it touched (the query log's ["containers"] tags). *)
@@ -92,10 +89,6 @@ val agg_merge : into:agg -> agg -> unit
 (** Freeze the accumulator into a {!fingerprint} (normalized weights,
     containers sorted by path). The accumulator stays usable. *)
 val agg_fingerprint : agg -> fingerprint
-
-(** Decompose one parsed query-log record into {!agg_add} inputs
-    (entries without a ["container"] field are dropped). *)
-val record_observations : Json.t -> obs list * (string * int) list
 
 (** Aggregate parsed query-log records into a fingerprint. *)
 val of_records : Json.t list -> fingerprint

@@ -60,8 +60,6 @@ let configure ?window_seconds ?windows ?alpha () =
 
 let set_baseline fp = with_lock @@ fun () -> baseline := fp
 
-let get_baseline () = with_lock @@ fun () -> !baseline
-
 let reset () =
   with_lock @@ fun () ->
   ring := fresh_ring !nwindows;

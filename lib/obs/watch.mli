@@ -54,9 +54,6 @@ val configure : ?window_seconds:float -> ?windows:int -> ?alpha:float -> unit ->
     fingerprint-only mode: no drift, no drift alerts). *)
 val set_baseline : Profile.fingerprint option -> unit
 
-(** The declared baseline, if any. *)
-val get_baseline : unit -> Profile.fingerprint option
-
 (** Drop every bucket, the EWMA state and the tick counters (test
     isolation); keeps configuration, baseline and the enabled switch. *)
 val reset : unit -> unit

@@ -47,13 +47,9 @@ val select1 : t -> int -> int
 (** [select0 t k]: position of the [k]-th clear bit, 1-based. *)
 val select0 : t -> int -> int
 
-(** Bytes of raw bit data (what {!serialize} writes past the length):
-    [(length t + 7) / 8]. *)
-val data_bytes : t -> int
-
 (** The in-memory backing store: the packed bits, LSB-first, followed
     by zero padding up to a whole number of 64-bit words (so its length
-    is at least {!data_bytes}). For table-driven scans such as
+    is at least [(length t + 7) / 8]). For table-driven scans such as
     {!Bp_tree}'s excess search; callers must not mutate it. *)
 val raw_bytes : t -> Bytes.t
 

@@ -298,13 +298,6 @@ let subtree_size t i =
 
 let last_descendant t i = i + subtree_size t i - 1
 
-(* Closes before [i]'s own close: every position up to it, minus the
-   opens of the nodes before [i] and of [i]'s subtree. *)
-let post_rank t i =
-  let p = pos_of_node t i in
-  let c = findclose t p in
-  c - i - span p c
-
 let is_ancestor t ~ancestor ~descendant =
   ancestor < descendant && last_descendant t ancestor >= descendant
 

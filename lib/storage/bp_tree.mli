@@ -72,10 +72,6 @@ val last_descendant : t -> int -> int
 (** Nodes in [i]'s subtree, including [i]. *)
 val subtree_size : t -> int -> int
 
-(** [post_rank t i]: [i]'s 0-based position in post-order — the number
-    of closes before and including [i]'s own, minus one. *)
-val post_rank : t -> int -> int
-
 (** [is_ancestor t ~ancestor ~descendant]: strict ancestorship, by
     pre-order interval containment. *)
 val is_ancestor : t -> ancestor:int -> descendant:int -> bool

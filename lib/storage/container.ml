@@ -707,17 +707,6 @@ let in_block_upper (d : Buffer_pool.decoded) (code : string) : int =
   done;
   !lo
 
-(* First global index with code >= [code] (or length if none): a header
-   binary search plus at most ONE block decode. *)
-let lower_bound (t : t) (code : string) : int =
-  let bi = first_block_max_ge t code in
-  if bi >= Array.length t.blocks then t.n_records
-  else begin
-    let b = t.blocks.(bi) in
-    if String.compare b.b_min code >= 0 then b.b_start
-    else b.b_start + in_block_lower (fetch_block t bi) code
-  end
-
 (* First global index with code > [code]. *)
 let upper_bound (t : t) (code : string) : int =
   let bi = first_block_max_gt t code in

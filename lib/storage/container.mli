@@ -274,10 +274,6 @@ val get : t -> int -> record
     blocks are admitted at the pool's LRU tail. *)
 val range : t -> lo:int -> hi:int -> record list
 
-(** First index whose code is [>=] the argument ([length t] if none).
-    One header binary search plus at most one block decode. *)
-val lower_bound : t -> string -> int
-
 (** First index whose code is [>] the argument ([length t] if none). *)
 val upper_bound : t -> string -> int
 

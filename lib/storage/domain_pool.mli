@@ -11,8 +11,8 @@
     the engine's historical sequential behavior.
 
     The initial size comes from [$XQUEC_DECODE_DOMAINS] when that is set
-    to a non-negative integer, and otherwise defaults to
-    {!default_size}. The CLI's [--decode-domains] flag overrides it via
+    to a non-negative integer, and otherwise defaults to one worker per
+    spare core, [max 0 (Domain.recommended_domain_count () - 1)]. The CLI's [--decode-domains] flag overrides it via
     {!set_size}. Worker domains are spawned lazily on the first parallel
     batch and joined from an [at_exit] hook, so a process that never
     decodes in parallel never spawns a domain.
@@ -24,10 +24,6 @@
     batches from inside a task); they may block on {!Buffer_pool}
     latches. *)
 type task = unit -> unit
-
-(** One worker per spare core:
-    [max 0 (Domain.recommended_domain_count () - 1)]. *)
-val default_size : unit -> int
 
 (** Number of worker domains a parallel batch will use ([0] =
     sequential fallback). *)

@@ -37,8 +37,6 @@ let models (t : t) : (int * Compress.Codec.model) list =
 type size_breakdown = {
   name_dict_bytes : int;
   tree_bytes : int;  (** succinct (BP + wavelet) encoding — what v4 images store *)
-  tree_packed_bytes : int;  (** packed (delta+varint) v3 encoding, for the fig6 delta *)
-  tree_legacy_bytes : int;  (** plain-varint v2 encoding, kept for the fig6 delta *)
   containers_bytes : int;
   models_bytes : int;
   summary_bytes : int;
@@ -60,8 +58,6 @@ let buffer_size f =
 let size_breakdown (t : t) : size_breakdown =
   let name_dict_bytes = Name_dict.serialized_size t.dict in
   let tree_bytes = buffer_size (fun b -> Structure_tree.serialize_succinct b t.tree) in
-  let tree_packed_bytes = buffer_size (fun b -> Structure_tree.serialize_packed b t.tree) in
-  let tree_legacy_bytes = buffer_size (fun b -> Structure_tree.serialize b t.tree) in
   let containers_bytes =
     Array.fold_left (fun acc c -> acc + buffer_size (fun b -> Container.serialize b c)) 0
       t.containers
@@ -89,8 +85,6 @@ let size_breakdown (t : t) : size_breakdown =
     {
       name_dict_bytes;
       tree_bytes;
-      tree_packed_bytes;
-      tree_legacy_bytes;
       containers_bytes;
       models_bytes;
       summary_bytes;
@@ -126,11 +120,9 @@ let compression_factor (t : t) =
    stored in the packed delta+varint encoding) and always uses the
    block container encoding; v4 keeps the flags byte and sets bit 1
    instead (structure tree stored succinctly: BP bitvector + wavelet
-   tags). New images are written as v4 by default — the kill switch is
-   [set_default_format `V3] (the CLI's [--format v3]) or the
-   XQUEC_FORMAT=v3 environment variable. v1 (records inline), v2
-   (block containers, legacy tree) and v3 (packed tree) still load
-   byte-for-byte. *)
+   tags). Only v4 is written; v1 (records inline), v2 (block
+   containers, legacy tree) and v3 (packed tree) still load, and
+   re-saving them writes v4. *)
 let v2_magic = "XQC\x02"
 
 let v3_magic = "XQC\x03"
@@ -141,23 +133,7 @@ let flag_packed_tree = 1
 
 let flag_succinct_tree = 2
 
-type format = [ `V3 | `V4 ]
-
-let forced_format : format option ref = ref None
-
-let set_default_format f = forced_format := Some f
-
-let default_format () : format =
-  match !forced_format with
-  | Some f -> f
-  | None -> (
-    match Sys.getenv_opt "XQUEC_FORMAT" with
-    | Some "v3" -> `V3
-    | Some "v4" | None -> `V4
-    | Some other -> failwith (Printf.sprintf "XQUEC_FORMAT=%s: expected v3 or v4" other))
-
-let serialize ?format (t : t) : string =
-  let format = match format with Some f -> f | None -> default_format () in
+let serialize (t : t) : string =
   Xquec_obs.Trace.with_span ~name:"repository.serialize"
     ~attrs:[ ("source", t.source_name) ]
   @@ fun () ->
@@ -167,13 +143,8 @@ let serialize ?format (t : t) : string =
     add_varint buf (String.length s);
     Buffer.add_string buf s
   in
-  (match format with
-  | `V3 ->
-    Buffer.add_string buf v3_magic;
-    Buffer.add_char buf (Char.chr flag_packed_tree)
-  | `V4 ->
-    Buffer.add_string buf v4_magic;
-    Buffer.add_char buf (Char.chr flag_succinct_tree));
+  Buffer.add_string buf v4_magic;
+  Buffer.add_char buf (Char.chr flag_succinct_tree);
   add_str t.source_name;
   add_varint buf t.original_size;
   (* name dictionary *)
@@ -200,9 +171,7 @@ let serialize ?format (t : t) : string =
     ms;
   (* summary first: tree value pointers are resolved against it on load *)
   Summary.serialize buf t.summary;
-  (match format with
-  | `V3 -> Structure_tree.serialize_packed buf t.tree
-  | `V4 -> Structure_tree.serialize_succinct buf t.tree);
+  Structure_tree.serialize_succinct buf t.tree;
   add_varint buf (Array.length t.containers);
   Array.iter (fun c -> Container.serialize buf c) t.containers;
   Buffer.contents buf
@@ -223,28 +192,31 @@ let deserialize (s : string) : t =
   in
   let read_varint = Compress.Rle.read_varint in
   let pos = ref (if has_any_magic then String.length v2_magic else 0) in
-  let format_flags =
-    if is_v3 || is_v4 then begin
-      let f = Char.code s.[!pos] in
-      incr pos;
-      f
-    end
-    else 0
-  in
+  let truncated () = failwith "repository: truncated image" in
+  (* v3 and v4 carry exactly one tree-encoding flag each *)
+  if is_v3 || is_v4 then begin
+    if !pos >= String.length s then truncated ();
+    let expected = if is_v4 then flag_succinct_tree else flag_packed_tree in
+    if Char.code s.[!pos] <> expected then failwith "repository: bad format flags";
+    incr pos
+  end;
   let tree_deserialize =
-    if format_flags land flag_succinct_tree <> 0 then Structure_tree.deserialize_succinct
-    else if format_flags land flag_packed_tree <> 0 then Structure_tree.deserialize_packed
-    else Structure_tree.deserialize
-  in
-  let str () =
-    let (n, p) = read_varint s !pos in
-    let v = String.sub s p n in
-    pos := p + n;
-    v
+    if is_v4 then Structure_tree.deserialize_succinct
+    else if is_v3 then Structure_tree.deserialize_v3
+    else Structure_tree.deserialize_v2
   in
   let varint () =
-    let (v, p) = read_varint s !pos in
-    pos := p;
+    match read_varint s !pos with
+    | exception Invalid_argument _ -> truncated ()
+    | (v, p) ->
+      pos := p;
+      v
+  in
+  let str () =
+    let n = varint () in
+    if n < 0 || n > String.length s - !pos then truncated ();
+    let v = String.sub s !pos n in
+    pos := !pos + n;
     v
   in
   let source_name = str () in

@@ -4,9 +4,10 @@
    dictionary, and only the value pointers and text-marker positions
    remain as per-node data. IDs are pre-order ranks, so they coincide
    with document order and with the open-paren ranks of the BP
-   sequence; the (pre, post, level) triple of the paper's future-work
-   3-valued structural ids is answered by rank/select instead of being
-   stored.
+   sequence; the paper's future-work 3-valued (pre, post, level)
+   structural ids are served by [is_ancestor] (the pre-order interval
+   (id, last_descendant], equivalent to pre/post containment) and
+   [level], answered by rank/select instead of being stored.
 
    Child entries interleave element/attribute node ids (>= 0) with text
    markers (< 0): marker -(slot+1) points at the node's value pointer
@@ -70,10 +71,6 @@ let child_entries t id =
   let acc = ref [] in
   iter_child_entries t id (fun e -> acc := e :: !acc);
   Array.of_list (List.rev !acc)
-
-let structural_id t id =
-  Ids.Structural.make ~pre:id ~post:(Bp_tree.post_rank t.bp id)
-    ~level:(Bp_tree.depth t.bp id)
 
 (** Strict-ancestor test by pre-order interval containment (one
     findclose on the candidate ancestor). *)
@@ -245,48 +242,6 @@ let finish (b : builder) ~(rev_children : int list array)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let serialize buf (t : t) =
-  let add_varint = Compress.Rle.add_varint in
-  let n = node_count t in
-  add_varint buf n;
-  (* the legacy record stores tag, (redundant) parent pointer, child
-     entries and value pointers, as in the paper *)
-  for id = 0 to n - 1 do
-    add_varint buf (tag t id);
-    add_varint buf (id - parent t id);
-    let kids = child_entries t id in
-    add_varint buf (Array.length kids);
-    (* child node ids are > id: delta-encode against id (even codes);
-       text markers are encoded as odd codes *)
-    Array.iter
-      (fun c -> add_varint buf (if c >= 0 then 2 * (c - id) else (2 * -c) - 1))
-      kids;
-    add_varint buf (Array.length t.values.(id));
-    (* the container id is derivable from the node's summary path, so
-       only the record index is stored *)
-    Array.iter (fun (_cont, idx) -> add_varint buf idx) t.values.(id)
-  done
-
-(* Packed variant (repository format v3): same logical record, but the
-   child-entry codes and value record indices are stored as zigzag
-   varint deltas via {!Compress.Ipack.add_deltas}. Successive child
-   entries of one node have codes [2 * (c - id)] that grow by twice the
-   subtree size of each sibling, so the deltas stay small no matter how
-   wide the fan-out. *)
-let serialize_packed buf (t : t) =
-  let add_varint = Compress.Rle.add_varint in
-  let n = node_count t in
-  add_varint buf n;
-  for id = 0 to n - 1 do
-    add_varint buf (tag t id);
-    add_varint buf (id - parent t id);
-    Compress.Ipack.add_deltas buf
-      (Array.map
-         (fun c -> if c >= 0 then 2 * (c - id) else (2 * -c) - 1)
-         (child_entries t id));
-    Compress.Ipack.add_deltas buf (Array.map snd t.values.(id))
-  done
-
 (* Succinct variant (repository format v4): the shape as the raw BP
    bitvector, tags as the wavelet tree's level bitvectors, then per
    node its value record indices (delta-packed), its marker count when
@@ -341,9 +296,15 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
   done;
   ({ bp; tags; marks; values }, !pos)
 
-(* Both explicit-record readers share the array assembly; they differ
-   only in how one node record is decoded. *)
-let deserialize (s : string) (pos : int) : t * int =
+(* Readers for the explicit-record trees of repository formats v2 and
+   v3, which are no longer written. Both store the node count, then per
+   node its tag, parent delta [id - parent], child entries and value
+   record indices (the container id is derivable from the node's
+   summary path). A child entry is coded [2 * (c - id)] for a node id
+   [c] and [2 * m - 1] for text marker [-m]. v2 stores the counts and
+   codes as plain varints; v3 stores the codes and indices as zigzag
+   varint deltas ({!Compress.Ipack.read_deltas}). *)
+let deserialize_v2 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
   let tags = Array.make n 0 in
@@ -378,7 +339,7 @@ let deserialize (s : string) (pos : int) : t * int =
   done;
   (of_arrays ~tags ~parents ~children ~values, !pos)
 
-let deserialize_packed (s : string) (pos : int) : t * int =
+let deserialize_v3 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
   let tags = Array.make n 0 in

@@ -1,8 +1,10 @@
 (** Structure tree (§2.2), succinct edition: the document shape as a
     balanced-parentheses bitvector, tag codes in a wavelet tree, value
     pointers and text-marker positions as the only per-node data. Ids
-    are pre-order ranks; (pre, post, level) realizes the paper's
-    3-valued structural ids via rank/select. Child entries interleave
+    are pre-order ranks; the paper's 3-valued (pre, post, level)
+    structural ids are served by {!is_ancestor} (the pre-order interval
+    [(id, last_descendant]], equivalent to pre/post containment) and
+    {!level}. Child entries interleave
     element/attribute node ids (>= 0) with text markers (< 0, indexing
     the node's value pointers) so documents reconstruct in exact
     order. *)
@@ -46,9 +48,6 @@ val next_sibling : t -> int -> int option
 
 (** Nodes in a node's subtree, itself included. *)
 val subtree_size : t -> int -> int
-
-(** The (pre, post, level) identifier of a node. *)
-val structural_id : t -> int -> Ids.Structural.t
 
 (** Strict-ancestor test by pre-order interval containment. *)
 val is_ancestor : t -> ancestor:int -> descendant:int -> bool
@@ -105,25 +104,15 @@ val next_id : builder -> int
 val finish :
   builder -> rev_children:int list array -> rev_values:(int * int) list array -> t
 
-(** Append the tree's legacy (plain-varint, repository v2) serialized
-    form to the buffer. Kept for v2 read-compat and for measuring the
-    packing gain. *)
-val serialize : Buffer.t -> t -> unit
+(** [deserialize_v2 s pos] parses a legacy (repository v2, plain-varint
+    record) tree at offset [pos], returning it with the offset past it.
+    Raises [Failure] on corrupt input. *)
+val deserialize_v2 : string -> int -> t * int
 
-(** [deserialize s pos] parses a legacy (v2) tree at offset [pos],
-    returning it with the offset past it. Raises [Failure] on corrupt
-    input. *)
-val deserialize : string -> int -> t * int
-
-(** Append the packed (repository v3) form: per node, tag and parent
-    delta as plain varints, then child-entry codes and value record
-    indices as zigzag delta+varint sequences
-    ({!Compress.Ipack.add_deltas}). Decodes to exactly the same tree
-    as {!serialize}. *)
-val serialize_packed : Buffer.t -> t -> unit
-
-(** Invert {!serialize_packed}. Raises [Failure] on corrupt input. *)
-val deserialize_packed : string -> int -> t * int
+(** [deserialize_v3 s pos] parses a packed (repository v3) tree: the v2
+    record with child-entry codes and value record indices as zigzag
+    delta+varint sequences. Raises [Failure] on corrupt input. *)
+val deserialize_v3 : string -> int -> t * int
 
 (** Append the succinct (repository v4) form: node count, the raw BP
     bitvector, the wavelet tag levels, then per node its delta-packed

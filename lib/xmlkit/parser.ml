@@ -34,10 +34,3 @@ let parse_string src : Tree.document =
   match !root with
   | Some r -> { Tree.root = r }
   | None -> raise (Malformed ("no root element", 0))
-
-let parse_file path : Tree.document =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse_string s

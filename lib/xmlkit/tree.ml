@@ -45,9 +45,6 @@ let children_with_tag node name =
   in
   List.filter keep (children node)
 
-let first_child_with_tag node name =
-  match children_with_tag node name with [] -> None | k :: _ -> Some k
-
 (** Pre-order fold over all nodes (elements and text). *)
 let rec fold f acc node =
   let acc = f acc node in
@@ -65,9 +62,6 @@ let descendants_with_tag node name =
     | Element _ | Text _ -> acc
   in
   List.rev (fold collect [] node)
-
-let count_nodes node =
-  fold (fun n _ -> n + 1) 0 node
 
 let rec equal a b =
   match a, b with

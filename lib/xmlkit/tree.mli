@@ -29,16 +29,12 @@ val immediate_text : t -> string
 
 val children_with_tag : t -> string -> t list
 
-val first_child_with_tag : t -> string -> t option
-
 (** Pre-order fold over all nodes. *)
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
 val iter : (t -> unit) -> t -> unit
 
 val descendants_with_tag : t -> string -> t list
-
-val count_nodes : t -> int
 
 val equal : t -> t -> bool
 

@@ -1,58 +1,7 @@
-(* Tests for the storage layer: B+tree, name dictionary, containers,
+(* Tests for the storage layer: name dictionary, containers,
    structure tree, summary and full-repository serialization. *)
 
 open Storage
-
-(* ------------------------------------------------------------------ *)
-(* B+ tree                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_btree_basic () =
-  let t = Btree.create ~order:4 () in
-  List.iter (fun k -> Btree.insert t k (k * 10)) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
-  Btree.check_invariants t;
-  Alcotest.(check int) "length" 10 (Btree.length t);
-  Alcotest.(check (option int)) "find 7" (Some 70) (Btree.find t 7);
-  Alcotest.(check (option int)) "find missing" None (Btree.find t 11);
-  Btree.insert t 7 (-1);
-  Alcotest.(check (option int)) "replace" (Some (-1)) (Btree.find t 7);
-  Alcotest.(check int) "length after replace" 10 (Btree.length t)
-
-let test_btree_bulk () =
-  let n = 1000 in
-  let t = Btree.of_sorted_array ~order:8 (Array.init n (fun i -> (i * 2, i))) in
-  Btree.check_invariants t;
-  Alcotest.(check int) "length" n (Btree.length t);
-  Alcotest.(check (option int)) "find" (Some 250) (Btree.find t 500);
-  Alcotest.(check (option int)) "odd key missing" None (Btree.find t 501);
-  Alcotest.(check bool) "depth > 1" true (Btree.depth t > 1)
-
-let test_btree_find_le () =
-  let t = Btree.of_sorted_array (Array.init 100 (fun i -> (i * 10, i))) in
-  Alcotest.(check (option (pair int int))) "exact" (Some (50, 5)) (Btree.find_le t 50);
-  Alcotest.(check (option (pair int int))) "below" (Some (50, 5)) (Btree.find_le t 57);
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 0)) (Btree.find_le t 3);
-  Alcotest.(check (option (pair int int))) "none" None (Btree.find_le t (-1));
-  Alcotest.(check (option (pair int int))) "last" (Some (990, 99)) (Btree.find_le t 10000)
-
-let test_btree_range () =
-  let t = Btree.of_sorted_array (Array.init 50 (fun i -> (i, i))) in
-  let collected = Btree.fold_range t ~lo:10 ~hi:19 ~init:[] ~f:(fun acc k _ -> k :: acc) in
-  Alcotest.(check (list int)) "range" (List.init 10 (fun i -> 10 + i)) (List.rev collected)
-
-let prop_btree_model =
-  QCheck2.Test.make ~name:"btree agrees with assoc-list model" ~count:100
-    QCheck2.Gen.(small_list (pair (int_bound 100) (int_bound 1000)))
-    (fun bindings ->
-      let t = Btree.create ~order:4 () in
-      List.iter (fun (k, v) -> Btree.insert t k v) bindings;
-      Btree.check_invariants t;
-      (* last write wins in the model *)
-      let model =
-        List.fold_left (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc) [] bindings
-      in
-      List.for_all (fun (k, v) -> Btree.find t k = Some v) model
-      && Btree.length t = List.length model)
 
 (* ------------------------------------------------------------------ *)
 (* Name dictionary                                                     *)
@@ -609,28 +558,17 @@ let test_repository_roundtrip () =
       Alcotest.(check string) (q.Xmark.Queries.id ^ " identical after reload") a b)
     Xmark.Queries.all
 
-(* The magic a default [Repository.serialize] writes: follows the kill
-   switch, so the storage suite can be re-run under XQUEC_FORMAT=v3. *)
-let expected_magic () =
-  match Repository.default_format () with `V3 -> "XQC\x03" | `V4 -> "XQC\x04"
+(* The magic [Repository.serialize] writes: v4 is the only format. *)
+let expected_magic = "XQC\x04"
 
 let test_repository_byte_exact () =
   let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
   let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
   let data = Repository.serialize repo in
-  Alcotest.(check string) "default-format magic" (expected_magic ()) (String.sub data 0 4);
+  Alcotest.(check string) "v4 magic" expected_magic (String.sub data 0 4);
   let repo' = Repository.deserialize data in
   let data' = Repository.serialize repo' in
-  Alcotest.(check bool) "save/load/save is byte-exact" true (String.equal data data');
-  (* both explicit formats round-trip byte-exactly regardless of the
-     process default *)
-  List.iter
-    (fun (format, magic) ->
-      let data = Repository.serialize ~format repo in
-      Alcotest.(check string) "explicit-format magic" magic (String.sub data 0 4);
-      Alcotest.(check bool) "explicit format is byte-exact" true
-        (String.equal data (Repository.serialize ~format (Repository.deserialize data))))
-    [ (`V3, "XQC\x03"); (`V4, "XQC\x04") ]
+  Alcotest.(check bool) "save/load/save is byte-exact" true (String.equal data data')
 
 let test_repository_v1_fixture () =
   (* a repository written by the pre-block (v1) format must still load *)
@@ -653,7 +591,7 @@ let test_repository_v1_fixture () =
   (* and re-saving upgrades it to the current format, which then
      round-trips byte-exactly *)
   let cur = Repository.serialize repo in
-  Alcotest.(check string) "re-save upgrades to current format" (expected_magic ())
+  Alcotest.(check string) "re-save upgrades to current format" expected_magic
     (String.sub cur 0 4);
   Alcotest.(check bool) "upgraded image round-trips" true
     (String.equal cur (Repository.serialize (Repository.deserialize cur)))
@@ -670,100 +608,13 @@ let test_size_breakdown_consistent () =
   Alcotest.(check bool) "essential < total" true
     (sz.Repository.essential_bytes < sz.Repository.total_bytes)
 
-let test_packed_tree_roundtrip () =
-  (* the delta+varint packed encoding preserves every field of the
-     structure tree and beats the legacy plain-varint encoding *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
-  let repo = Xquec_core.Loader.load ~name:"a" xml in
-  let tree = repo.Repository.tree in
-  let packed = Buffer.create 4096 and legacy = Buffer.create 4096 in
-  Structure_tree.serialize_packed packed tree;
-  Structure_tree.serialize legacy tree;
-  Alcotest.(check bool) "packed encoding is smaller" true
-    (Buffer.length packed < Buffer.length legacy);
-  let (t', consumed) = Structure_tree.deserialize_packed (Buffer.contents packed) 0 in
-  Alcotest.(check int) "consumed whole image" (Buffer.length packed) consumed;
-  (* both encodings leave value-pointer containers unresolved (the
-     repository resolves them against the summary on load), so the
-     packed round-trip must agree field-for-field with the legacy one *)
-  let (tl, _) = Structure_tree.deserialize (Buffer.contents legacy) 0 in
-  let n = Structure_tree.node_count tl in
-  Alcotest.(check int) "node count" n (Structure_tree.node_count t');
-  for id = 0 to n - 1 do
-    if Structure_tree.tag tl id <> Structure_tree.tag t' id
-       || Structure_tree.parent tl id <> Structure_tree.parent t' id
-       || Structure_tree.level tl id <> Structure_tree.level t' id
-       || Structure_tree.value_pointers tl id <> Structure_tree.value_pointers t' id
-       || Structure_tree.child_entries tl id <> Structure_tree.child_entries t' id
-    then Alcotest.failf "node %d differs between packed and legacy decode" id
-  done
-
-let test_repository_v2_read_compat () =
-  (* a v2 image (block containers, legacy plain-varint tree, no flags
-     byte) must still load; the reader is exercised against an image we
-     write here with the v2 layout *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
-  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
-  let buf = Buffer.create (1 lsl 16) in
-  let add_varint = Compress.Rle.add_varint in
-  let add_str s =
-    add_varint buf (String.length s);
-    Buffer.add_string buf s
-  in
-  Buffer.add_string buf "XQC\x02";
-  add_str repo.Repository.source_name;
-  add_varint buf repo.Repository.original_size;
-  let names = Name_dict.to_list repo.Repository.dict in
-  add_varint buf (List.length names);
-  List.iter add_str names;
-  let ms = Repository.models repo in
-  add_varint buf (List.length ms);
-  List.iter
-    (fun (id, m) ->
-      add_varint buf id;
-      add_str (Compress.Codec.algorithm_name (Compress.Codec.algorithm_of_model m));
-      let body =
-        match m with
-        | Compress.Codec.M_huffman h -> Compress.Huffman.serialize_model h
-        | Compress.Codec.M_alm a -> Compress.Alm.serialize_model a
-        | Compress.Codec.M_arith a -> Compress.Arith.serialize_model a
-        | Compress.Codec.M_hu_tucker h -> Compress.Hu_tucker.serialize_model h
-        | Compress.Codec.M_bzip -> ""
-        | Compress.Codec.M_numeric n -> Compress.Ipack.serialize_model n
-      in
-      add_str body)
-    ms;
-  Summary.serialize buf repo.Repository.summary;
-  Structure_tree.serialize buf repo.Repository.tree;
-  add_varint buf (Array.length repo.Repository.containers);
-  Array.iter (fun c -> Container.serialize buf c) repo.Repository.containers;
-  let v2 = Repository.deserialize (Buffer.contents buf) in
-  List.iter
-    (fun q ->
-      let a = Xquec_core.Executor.serialize v2 (Xquec_core.Executor.run_string v2 q) in
-      let b = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q) in
-      Alcotest.(check string) (q ^ " matches v3 twin") b a)
-    [
-      "document(\"auction.xml\")/site/people/person/name";
-      "document(\"auction.xml\")/site/people/person[@id = \"person0\"]";
-    ];
-  (* re-saving the v2 load upgrades it to the current format *)
-  let cur = Repository.serialize v2 in
-  Alcotest.(check string) "re-save upgrades to current format" (expected_magic ())
-    (String.sub cur 0 4);
-  Alcotest.(check bool) "upgraded image round-trips" true
-    (String.equal cur (Repository.serialize (Repository.deserialize cur)))
-
 let test_repository_v3_fixture () =
-  (* a committed v3 image (packed record tree) must keep loading
-     byte-for-byte now that new images are v4 *)
+  (* a committed v3 image (packed record tree) must keep loading now
+     that only v4 is written *)
   let data = read_fixture "v3_small.xqc" in
   Alcotest.(check string) "fixture is v3" "XQC\x03" (String.sub data 0 4);
   let repo = Repository.deserialize data in
   Alcotest.(check string) "source name" "v3_small.xml" repo.Repository.source_name;
-  (* the v3 writer still reproduces the fixture exactly *)
-  Alcotest.(check bool) "v3 re-save is byte-identical to the fixture" true
-    (String.equal data (Repository.serialize ~format:`V3 repo));
   (* it answers queries like the freshly-loaded equivalent — including
      mixed content, where the succinct tree must re-interleave text
      markers between element children *)
@@ -778,7 +629,12 @@ let test_repository_v3_fixture () =
       "document(\"v3_small.xml\")/site/people/person[age > 30]/bio";
       "document(\"v3_small.xml\")/site/people/person[@id = \"p2\"]";
       "document(\"v3_small.xml\")//item/price";
-    ]
+    ];
+  (* re-saving upgrades it to v4, which then round-trips byte-exactly *)
+  let cur = Repository.serialize repo in
+  Alcotest.(check string) "re-save upgrades to v4" expected_magic (String.sub cur 0 4);
+  Alcotest.(check bool) "upgraded image round-trips" true
+    (String.equal cur (Repository.serialize (Repository.deserialize cur)))
 
 (* The committed v4 fixture: test/fixtures/v4_small.xml (XMark, scale
    0.02, seed 1) compressed with the workload v4_small.xq by the v4
@@ -824,7 +680,7 @@ let test_repository_v4_fixture_answers () =
 let test_repository_v4_fixture_resave () =
   let data = read_fixture "v4_small.xqc" in
   Alcotest.(check bool) "load -> save is byte-identical" true
-    (String.equal data (Repository.serialize ~format:`V4 (Repository.deserialize data)))
+    (String.equal data (Repository.serialize (Repository.deserialize data)))
 
 let test_repository_v4_fixture_recompress () =
   let workload = workload_stanzas (read_fixture "v4_small.xq") in
@@ -834,30 +690,91 @@ let test_repository_v4_fixture_recompress () =
   in
   Alcotest.(check bool) "compressing again is byte-identical" true
     (String.equal (read_fixture "v4_small.xqc")
-       (Repository.serialize ~format:`V4 (Xquec_core.Engine.repo engine)))
+       (Repository.serialize (Xquec_core.Engine.repo engine)))
+
+(* test/fixtures/v2_xmark.xqc and v3_xmark.xqc hold the repository of
+   v4_small.xqc written by the retired v2 (plain-varint tree, no flags
+   byte) and v3 (packed record tree) writers. Loading either must answer
+   the whole XMark workload like Galax_like on v4_small.xml, and
+   re-saving must reproduce v4_small.xqc byte for byte. *)
+let check_old_xmark_fixture ~name ~magic =
+  let data = read_fixture name in
+  Alcotest.(check string) (name ^ " magic") magic (String.sub data 0 4);
+  let repo = Repository.deserialize data in
+  let doc = Xmlkit.Parser.parse_string (read_fixture "v4_small.xml") in
+  List.iter
+    (fun (q : Xmark.Queries.query) ->
+      let ast = Xquery.Parser.parse q.Xmark.Queries.text in
+      let expected =
+        Baselines.Galax_like.serialize
+          (Baselines.Galax_like.run ~docs:[ ("auction.xml", doc) ] ast)
+      in
+      let got = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo ast) in
+      Alcotest.(check string) (name ^ " " ^ q.Xmark.Queries.id ^ " matches Galax-like")
+        expected got)
+    Xmark.Queries.all;
+  Alcotest.(check bool) (name ^ " re-save is byte-identical to v4_small.xqc") true
+    (String.equal (read_fixture "v4_small.xqc") (Repository.serialize repo))
+
+let test_repository_v2_read_compat () =
+  check_old_xmark_fixture ~name:"v2_xmark.xqc" ~magic:"XQC\x02"
 
 let test_v3_v4_query_identity () =
-  (* the same document serialized as v3 and as v4 must answer the whole
-     XMark workload identically, and the v4 image must round-trip
-     byte-exactly through its own save/load *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
-  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
-  let v3 = Repository.deserialize (Repository.serialize ~format:`V3 repo) in
-  let v4_image = Repository.serialize ~format:`V4 repo in
-  let v4 = Repository.deserialize v4_image in
+  check_old_xmark_fixture ~name:"v3_xmark.xqc" ~magic:"XQC\x03";
+  (* the v3 load answers exactly like the v4 image of the same document *)
+  let v3 = Repository.deserialize (read_fixture "v3_xmark.xqc") in
+  let v4 = Repository.deserialize (read_fixture "v4_small.xqc") in
   List.iter
     (fun (q : Xmark.Queries.query) ->
       let ast = Xquery.Parser.parse q.Xmark.Queries.text in
       let a = Xquec_core.Executor.serialize v3 (Xquec_core.Executor.run v3 ast) in
       let b = Xquec_core.Executor.serialize v4 (Xquec_core.Executor.run v4 ast) in
-      Alcotest.(check string) (q.Xmark.Queries.id ^ " identical on v3 and v4") a b)
-    Xmark.Queries.all;
-  Alcotest.(check bool) "v4 save/load/save byte-exact" true
-    (String.equal v4_image (Repository.serialize ~format:`V4 v4));
-  (* and the succinct tree is the smaller encoding even at this scale *)
-  let sz = Repository.size_breakdown repo in
-  Alcotest.(check bool) "succinct tree below packed tree" true
-    (sz.Repository.tree_bytes < sz.Repository.tree_packed_bytes)
+      Alcotest.(check string) (q.Xmark.Queries.id ^ " identical on v3 and v4") b a)
+    Xmark.Queries.all
+
+let test_packed_tree_roundtrip () =
+  (* the legacy (v2), packed (v3) and succinct (v4) tree encodings of
+     the same document decode to the same tree, field for field *)
+  let tree name = (Repository.deserialize (read_fixture name)).Repository.tree in
+  let t4 = tree "v4_small.xqc" in
+  let n = Structure_tree.node_count t4 in
+  List.iter
+    (fun name ->
+      let t = tree name in
+      Alcotest.(check int) (name ^ " node count") n (Structure_tree.node_count t);
+      for id = 0 to n - 1 do
+        if Structure_tree.tag t4 id <> Structure_tree.tag t id
+           || Structure_tree.parent t4 id <> Structure_tree.parent t id
+           || Structure_tree.level t4 id <> Structure_tree.level t id
+           || Structure_tree.value_pointers t4 id <> Structure_tree.value_pointers t id
+           || Structure_tree.child_entries t4 id <> Structure_tree.child_entries t id
+        then Alcotest.failf "node %d of %s differs from the v4 decode" id name
+      done)
+    [ "v2_xmark.xqc"; "v3_xmark.xqc" ]
+
+let test_repository_framing_errors () =
+  (* broken headers raise Failure, never Invalid_argument, and a flags
+     byte that does not match the magic is not routed to another reader *)
+  let v4 = read_fixture "v4_small.xqc" in
+  let fails ~label ?msg data =
+    match Repository.deserialize data with
+    | _ -> Alcotest.failf "%s: loaded" label
+    | exception Failure m -> (
+      match msg with
+      | Some want -> Alcotest.(check string) label want m
+      | None -> ())
+    | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  fails ~label:"magic without flags byte" "XQC\x04";
+  fails ~label:"truncated after 40 bytes" (String.sub v4 0 40);
+  let flags_zero = Bytes.of_string v4 in
+  Bytes.set flags_zero 4 '\x00';
+  fails ~label:"v4 magic with flags 0" ~msg:"repository: bad format flags"
+    (Bytes.to_string flags_zero);
+  let v3_flags_succinct = Bytes.of_string (read_fixture "v3_xmark.xqc") in
+  Bytes.set v3_flags_succinct 4 '\x02';
+  fails ~label:"v3 magic with the succinct flag" ~msg:"repository: bad format flags"
+    (Bytes.to_string v3_flags_succinct)
 
 let test_capped_bounds_conservative () =
   (* codes longer than the 8-byte header cap: the exact bit must clear
@@ -906,14 +823,6 @@ let test_capped_bounds_conservative () =
 
 let suites =
   [
-    ( "btree",
-      [
-        Alcotest.test_case "insert/find" `Quick test_btree_basic;
-        Alcotest.test_case "bulk load" `Quick test_btree_bulk;
-        Alcotest.test_case "find_le" `Quick test_btree_find_le;
-        Alcotest.test_case "range fold" `Quick test_btree_range;
-        QCheck_alcotest.to_alcotest prop_btree_model;
-      ] );
     ( "storage",
       [
         Alcotest.test_case "name dictionary" `Quick test_name_dict;
@@ -952,6 +861,8 @@ let suites =
         Alcotest.test_case "v3 vs v4 query identity" `Quick test_v3_v4_query_identity;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
         Alcotest.test_case "packed tree round-trip" `Quick test_packed_tree_roundtrip;
+        Alcotest.test_case "repository framing errors are typed" `Quick
+          test_repository_framing_errors;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;
       ] );
   ]

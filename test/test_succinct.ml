@@ -176,14 +176,6 @@ let check_bp (parents : int array) =
     let p = parents.(i) in
     if last.(i) > last.(p) then last.(p) <- last.(i)
   done;
-  let post = Array.make (max n 1) 0 in
-  let cnt = ref 0 in
-  let rec po i =
-    List.iter po children.(i);
-    post.(i) <- !cnt;
-    incr cnt
-  in
-  if n > 0 then po 0;
   for i = 0 to n - 1 do
     Alcotest.(check int) "parent" (if i = 0 then -1 else parents.(i)) (Bp_tree.parent bp i);
     Alcotest.(check int) "depth" depth.(i) (Bp_tree.depth bp i);
@@ -194,7 +186,6 @@ let check_bp (parents : int array) =
       (Bp_tree.first_child bp i);
     Alcotest.(check int) "last_descendant" last.(i) (Bp_tree.last_descendant bp i);
     Alcotest.(check int) "subtree_size" (last.(i) - i + 1) (Bp_tree.subtree_size bp i);
-    Alcotest.(check int) "post_rank" post.(i) (Bp_tree.post_rank bp i);
     let ns =
       if i = 0 then None
       else
