@@ -1177,7 +1177,7 @@ let serve () =
   header "Concurrent serving: worker fan-out, admission, plan cache";
   let engine = Lazy.force xmark_engine in
   let module Expo = Xquec_obs.Expo in
-  let module Hammer = Xquec_obs.Hammer in
+  let module Hammer = Xquec_harness.Hammer in
   let module Plan_cache = Xquec_core.Plan_cache in
   (* the repeated-query mix: a few cheap point lookups and one scan-ish
      query, cycled by every client *)

@@ -76,6 +76,9 @@ let rec free_vars (e : Ast.expr) : Sset.t =
 let rec conjuncts (e : Ast.expr) : Ast.expr list =
   match e with Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
 
+let where_conjuncts clauses =
+  List.concat_map (function Ast.Where e -> conjuncts e | _ -> []) clauses
+
 let conjoin = function
   | [] -> None
   | e :: rest -> Some (List.fold_left (fun acc c -> Ast.And (acc, c)) e rest)

@@ -12,6 +12,9 @@ val free_vars : Xquery.Ast.expr -> Sset.t
     (a non-conjunction is returned as a singleton). *)
 val conjuncts : Xquery.Ast.expr -> Xquery.Ast.expr list
 
+(** The conjuncts of all of a FLWOR's [where] clauses, in order. *)
+val where_conjuncts : Xquery.Ast.clause list -> Xquery.Ast.expr list
+
 (** Rebuild a conjunction from {!conjuncts} output; [None] for the empty
     list (no residual predicate). *)
 val conjoin : Xquery.Ast.expr list -> Xquery.Ast.expr option

@@ -79,7 +79,7 @@ val size_breakdown : t -> Storage.Repository.size_breakdown
     written by [xquec compress -o]). *)
 val save : t -> string
 
-(** Inverse of {!save}; accepts both v1 and v2 container layouts. *)
+(** Inverse of {!save}; loads images of every format version, v1 to v4. *)
 val restore : string -> t
 
 (** Reconstruct the full document (the decompressor direction). *)

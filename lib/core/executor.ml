@@ -299,11 +299,7 @@ let reset_join_stats () =
   Atomic.set a_blocks_skipped 0;
   Atomic.set a_skipped_bytes 0
 
-let block_join_enabled =
-  ref
-    (match Sys.getenv_opt "XQUEC_BLOCK_JOIN" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true)
+let block_join_enabled = ref true
 
 let set_block_join on = block_join_enabled := on
 
@@ -824,6 +820,40 @@ let block_join_sides ctx (env : env) ~(var : string) (left_e : Ast.expr)
       else None)
   | _ -> None
 
+(* The block-vs-hash choice for an Eq join binding [var], from headers
+   and the summary alone (shared with the optimizer's EXPLAIN): the
+   pairings of the two sides' containers with their header-overlap
+   estimates, when the block merge join is enabled, statically
+   applicable ({!block_join_sides}) and favored by
+   {!Cost_model.prefer_block_join} for [tuples] outer tuples ([max_int],
+   i.e. unknown, for EXPLAIN). *)
+let block_join_pairings ?(tuples = max_int) ctx (env : env) ~(var : string)
+    (left_e : Ast.expr) (right_e : Ast.expr) : block_pairing list option =
+  if not !block_join_enabled then None
+  else
+    match block_join_sides ctx env ~var left_e right_e with
+    | None -> None
+    | Some (lres, rres) ->
+      let pairings =
+        List.concat_map
+          (fun (lc, lhops) ->
+            List.map
+              (fun (rc, rhops) ->
+                {
+                  bp_lc = lc;
+                  bp_lhops = lhops;
+                  bp_rc = rc;
+                  bp_rhops = rhops;
+                  bp_est =
+                    Cost_model.block_join_estimate (Container.headers lc) (Container.headers rc);
+                })
+              rres)
+          lres
+      in
+      if Cost_model.prefer_block_join (List.map (fun p -> p.bp_est) pairings) ~tuples then
+        Some pairings
+      else None
+
 (* Matched element ids (at candidate level) for a pushable predicate,
    or None when it cannot be resolved statically. *)
 let pushdown_matches ctx (snodes : Summary.node list) (p : pushable) : int array option =
@@ -913,6 +943,221 @@ type join_key = Kcode of string | Knum of float | Kstr of string
 type key_mode =
   | Mode_code of int * Container.t  (* shared model id + a container for re-compression *)
   | Mode_atom
+
+(* --- Static planning decisions ---
+
+   This section decides from the query, the summary and container
+   metadata alone — no record is read — so the optimizer's EXPLAIN calls
+   the very same functions the executor plans with. *)
+
+(* Summary-node provenance of an expression: the static counterpart of
+   a binding's [snodes]. *)
+let rec static_snodes ctx (env : env) (e : Ast.expr) : Summary.node list =
+  match e with
+  | Ast.Doc _ -> [ ctx.repo.Repository.summary.Summary.root ]
+  | Ast.Var v -> (match List.assoc_opt v env with Some b -> b.snodes | None -> [])
+  | Ast.Context -> (match List.assoc_opt "." env with Some b -> b.snodes | None -> [])
+  | Ast.Path (src, steps) ->
+    List.fold_left
+      (fun sn (st : Ast.step) ->
+        match st.Ast.test with Ast.Text -> sn | _ -> advance_snodes ctx sn st)
+      (static_snodes ctx env src) steps
+  | Ast.Distinct_values e -> static_snodes ctx env e
+  | _ -> []
+
+(* Bind [v] to [e]'s static provenance (and an empty sequence). *)
+let bind_static ctx (env : env) v (e : Ast.expr) : env =
+  (v, { seq = Mat []; snodes = static_snodes ctx env e }) :: env
+
+(* The containers a value path reads, when it resolves statically. *)
+let static_value_containers ctx env (e : Ast.expr) : Container.t list option =
+  match e with
+  | Ast.Path ((Ast.Doc _ | Ast.Var _ | Ast.Context) as src, steps) -> (
+    match static_snodes ctx env src with
+    | [] -> None
+    | snodes -> Option.map (List.map fst) (resolve_value_path ctx snodes steps))
+  | _ -> None
+
+let join_key_mode ctx env left_e right_e : key_mode =
+  let conts_of e = static_value_containers ctx env e in
+  match conts_of left_e, conts_of right_e with
+  | Some (l :: ls), Some (r :: rs) ->
+    let mid = l.Container.model_id in
+    if
+      r.Container.model_id = mid
+      && List.for_all (fun (c : Container.t) -> c.Container.model_id = mid) (ls @ rs)
+      && Compress.Codec.supports l.Container.algorithm `Eq
+    then Mode_code (mid, l)
+    else Mode_atom
+  | _ -> Mode_atom
+
+(* The join conjunct a FOR binding [var] consumes: the first of
+   [conjuncts] comparing [var] with already-bound variables by anything
+   but [!=], oriented bound side first. *)
+let find_join ~bound ~base_vars ~var (conjuncts : Ast.expr list) :
+    (Ast.expr * (Ast.cmp_op * Ast.expr * Ast.expr)) option =
+  if Sset.is_empty bound then None
+  else
+    List.find_map
+      (fun c ->
+        match
+          Analysis.join_conjunct ~left_vars:bound ~right_vars:(Sset.singleton var)
+            ~outer:base_vars c
+        with
+        | Some ((op, _, _) as join) when op <> Ast.Neq -> Some (c, join)
+        | _ -> None)
+      conjuncts
+
+(* A correlated LET-bound nested FLWOR rewritten as a join: the Q8/Q9
+   pattern
+     let $a := for $t in ... where <inner> = <outer> return ...
+   builds the inner tuples once ([dc_clauses], the correlated conjunct
+   removed) and probes them per outer tuple with [dc_outer]. *)
+type decorrelation = {
+  dc_op : Ast.cmp_op;
+  dc_outer : Ast.expr;
+  dc_inner : Ast.expr;
+  dc_clauses : Ast.clause list;
+  dc_return : Ast.expr;
+  dc_mode : key_mode;
+}
+
+(* Applicability: [e] is a FLWOR whose clauses (bar its where-conjuncts)
+   and return avoid the outer [tuple_vars], with exactly one conjunct
+   mentioning them, and that one a non-[!=] join between outer and inner
+   variables. [prov] carries the outer variables' provenance for typing
+   the join keys. *)
+let decorrelation ctx ~(prov : env) ~base_vars ~tuple_vars (e : Ast.expr) :
+    decorrelation option =
+  match e with
+  | Ast.Flwor (clauses, ret) -> (
+    let mentions = Analysis.mentions tuple_vars in
+    let clean =
+      List.for_all
+        (function
+          | Ast.For (_, e) | Ast.Let (_, e) -> not (mentions e)
+          | Ast.Where _ -> true
+          | Ast.Order_by keys -> not (List.exists (fun (k, _) -> mentions k) keys))
+        clauses
+      && not (mentions ret)
+    in
+    match List.partition mentions (Analysis.where_conjuncts clauses) with
+    | [ c ], rest when clean -> (
+      let structural = List.filter (function Ast.Where _ -> false | _ -> true) clauses in
+      let inner_bound, typing_env =
+        List.fold_left
+          (fun (vs, env) -> function
+            | Ast.For (v, e) | Ast.Let (v, e) -> (Sset.add v vs, bind_static ctx env v e)
+            | Ast.Where _ | Ast.Order_by _ -> (vs, env))
+          (Sset.empty, prov) structural
+      in
+      match
+        Analysis.join_conjunct ~left_vars:tuple_vars ~right_vars:inner_bound ~outer:base_vars c
+      with
+      | Some (op, outer_e, inner_e) when op <> Ast.Neq ->
+        Some
+          {
+            dc_op = op;
+            dc_outer = outer_e;
+            dc_inner = inner_e;
+            dc_clauses =
+              (match Analysis.conjoin rest with
+              | None -> structural
+              | Some w -> structural @ [ Ast.Where w ]);
+            dc_return = ret;
+            dc_mode = join_key_mode ctx typing_env outer_e inner_e;
+          }
+      | _ -> None)
+    | _ -> None)
+  | _ -> None
+
+(* --- Join keys and the join probe --- *)
+
+let join_key ctx (mode : key_mode) (it : item) : join_key list =
+  let it = match it with Att (_, v) -> v | it -> it in
+  match mode, it with
+  | Mode_code (mid, _), Cval { cont; code } when cont.Container.model_id = mid ->
+    [ Kcode code ]
+  | Mode_code (_, shared), _ ->
+    (* same model, different physical item: re-compress the atom *)
+    [ Kcode (Container.compress_constant shared (atom_string ctx it)) ]
+  | Mode_atom, it -> (
+    match atom_number ctx it with
+    | Some f -> [ Knum f ]
+    | None -> [ Kstr (atom_string ctx it) ])
+
+let join_keys ctx mode (b : binding) = List.concat_map (join_key ctx mode) (materialize ctx b)
+
+let compare_join_key (a : join_key) (b : join_key) : int =
+  match a, b with
+  | Kcode x, Kcode y -> String.compare x y
+  | Knum x, Knum y -> compare x y
+  | Kstr x, Kstr y -> String.compare x y
+  | Kcode _, _ -> -1
+  | _, Kcode _ -> 1
+  | Knum _, Kstr _ -> -1
+  | Kstr _, Knum _ -> 1
+
+(* Build once, probe many: index the inner side — (keys, payload) pairs
+   in inner order, the payload an item (FOR joins) or a tuple
+   (decorrelated LETs) — for [outer op inner]: a hash table on keys for
+   [=], a key-sorted array searched by bisection for the inequalities.
+   The probe returns the payloads matching any of the outer keys,
+   deduplicated, in inner order. *)
+let join_probe (op : Ast.cmp_op) (inner : (join_key list * 'a) list) : join_key list -> 'a list
+    =
+  let in_inner_order matched =
+    List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j) matched |> List.map snd
+  in
+  match op with
+  | Ast.Eq ->
+    let table : (join_key, (int * 'a) list ref) Hashtbl.t = Hashtbl.create 256 in
+    List.iteri
+      (fun i (ks, x) ->
+        List.iter
+          (fun k ->
+            match Hashtbl.find_opt table k with
+            | Some l -> l := (i, x) :: !l
+            | None -> Hashtbl.add table k (ref [ (i, x) ]))
+          (List.sort_uniq compare ks))
+      inner;
+    fun ks ->
+      List.concat_map
+        (fun k -> match Hashtbl.find_opt table k with Some l -> !l | None -> [])
+        (List.sort_uniq compare ks)
+      |> in_inner_order
+  | Ast.Neq -> invalid_arg "join_probe: !="
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
+    let keyed =
+      List.concat (List.mapi (fun i (ks, x) -> List.map (fun k -> (k, (i, x))) ks) inner)
+      |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
+      |> Array.of_list
+    in
+    let n = Array.length keyed in
+    (* first index whose key is >= k (~strict:false) or > k (~strict:true) *)
+    let first ~strict k =
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let m = (!lo + !hi) / 2 in
+        let c = compare_join_key (fst keyed.(m)) k in
+        if c < 0 || (strict && c = 0) then lo := m + 1 else hi := m
+      done;
+      !lo
+    in
+    fun ks ->
+      List.concat_map
+        (fun k ->
+          (* outer op inner: e.g. outer < inner wants inner keys > k *)
+          let lo, hi =
+            match op with
+            | Ast.Lt -> (first ~strict:true k, n)
+            | Ast.Le -> (first ~strict:false k, n)
+            | Ast.Gt -> (0, first ~strict:false k)
+            | _ -> (0, first ~strict:true k)
+          in
+          List.init (hi - lo) (fun i -> snd keyed.(lo + i)))
+        ks
+      |> in_inner_order
 
 let lookup env v =
   match List.assoc_opt v env with
@@ -1344,18 +1589,25 @@ and construct ctx env tag attrs kids : Xmlkit.Tree.t =
   in
   Xmlkit.Tree.Element (tag, static_attrs @ dyn_attrs, content [] [] kid_items)
 
-(* --- FLWOR with join detection and decorrelation --- *)
+(* --- FLWOR: one clause pipeline with join detection and decorrelation --- *)
 
 and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : binding =
   prof_binding ctx ~kind:"flwor" "flwor" @@ fun () ->
+  let tuples = flwor_tuples ctx base clauses in
+  let qctx = quiet ctx in
+  mat
+    (prof_rows ctx ~kind:"return" "return" ~rows:List.length (fun () ->
+         List.concat_map (fun d -> materialize qctx (eval qctx (d @ base) ret)) tuples))
+
+(* The clause pipeline: the binding tuples (deltas over [base]) of
+   [clauses] — FOR joins, early where-conjuncts, decorrelated LETs and
+   order by — without evaluating a return expression. Decorrelated
+   nested FLWORs build their inner tuples through it too. *)
+and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
   let qctx = quiet ctx in
   let base_vars = Sset.of_list (List.map fst base) in
-  let all_conjuncts =
-    List.concat_map (function Ast.Where e -> Analysis.conjuncts e | _ -> []) clauses
-  in
-  let pending = ref all_conjuncts in
+  let pending = ref (Analysis.where_conjuncts clauses) in
   let bound = ref Sset.empty in
-  (* tuples are deltas over [base] *)
   let tuples : env list ref = ref [ [] ] in
   (* static provenance env: every clause variable bound so far, carrying
      its summary nodes (and an empty sequence) — what join typing needs
@@ -1379,6 +1631,11 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
             tuples := List.filter (fun d -> ebv qctx (eval qctx (full d) c)) !tuples))
       ready
   in
+  let bind v e =
+    prov := bind_static ctx !prov v e;
+    bound := Sset.add v !bound;
+    apply_ready ()
+  in
   let process_clause (clause : Ast.clause) =
     match clause with
     | Ast.For (v, e) ->
@@ -1389,8 +1646,9 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
         (fun () ->
           if not correlated then begin
             let source = eval ctx base e in
-            match find_join ctx ~var:v ~bound:!bound ~base_vars pending with
-            | Some ((jop, left_e, right_e) as join) -> (
+            match find_join ~bound:!bound ~base_vars ~var:v !pending with
+            | Some (c, ((jop, left_e, right_e) as join)) -> (
+              pending := List.filter (fun c' -> c' != c) !pending;
               let bplan =
                 if jop = Ast.Eq then
                   block_join_plan ctx ~base ~prov:!prov ~var:v ~source
@@ -1431,9 +1689,7 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
                   let items = materialize qctx (eval qctx (full d) e) in
                   List.map (fun it -> (v, mat [ it ]) :: d) items)
                 !tuples);
-      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e }) :: !prov;
-      bound := Sset.add v !bound;
-      apply_ready ()
+      bind v e
     | Ast.Let (v, e) ->
       let correlated = Analysis.mentions !bound e in
       prof_rows ctx ~kind:"let"
@@ -1445,17 +1701,18 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
             tuples := List.map (fun d -> (v, b) :: d) !tuples
           end
           else begin
-            match decorrelate qctx base ~tuple_vars:!bound e with
-            | Some probe ->
+            match
+              decorrelation ctx ~prov:!prov ~base_vars ~tuple_vars:!bound e
+            with
+            | Some dc ->
+              let probe = decorrelate qctx base dc in
               prof_rows ctx ~kind:"decorrelate" ("decorrelate $" ^ v)
                 ~rows:(fun () -> List.length !tuples)
                 (fun () -> tuples := List.map (fun d -> (v, mat (probe d)) :: d) !tuples)
             | None ->
               tuples := List.map (fun d -> (v, eval qctx (full d) e) :: d) !tuples
           end);
-      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e }) :: !prov;
-      bound := Sset.add v !bound;
-      apply_ready ()
+      bind v e
     | Ast.Where _ -> apply_ready ()
     | Ast.Order_by keys ->
       prof_rows ctx ~kind:"order_by" "order by"
@@ -1491,30 +1748,7 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
     err "where clause references unbound variables: %s"
       (String.concat ", "
          (List.concat_map (fun c -> Sset.elements (Analysis.free_vars c)) !pending));
-  mat
-    (prof_rows ctx ~kind:"return" "return" ~rows:List.length (fun () ->
-         List.concat_map (fun d -> materialize qctx (eval qctx (full d) ret)) !tuples))
-
-(* Find a consumable join conjunct between the new variable [var] and the
-   already-bound variables. Removes it from [pending] when found. *)
-and find_join ctx ~var ~bound ~base_vars pending =
-  ignore ctx;
-  if Sset.is_empty bound then None
-  else begin
-    let right_vars = Sset.singleton var in
-    let rec search seen = function
-      | [] -> None
-      | c :: rest -> (
-        match
-          Analysis.join_conjunct ~left_vars:bound ~right_vars ~outer:base_vars c
-        with
-        | Some (op, left_e, right_e) when op <> Ast.Neq ->
-          pending := List.rev_append seen rest;
-          Some (op, left_e, right_e)
-        | _ -> search (c :: seen) rest)
-    in
-    search [] !pending
-  end
+  !tuples
 
 and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
   let items = materialize ctx source in
@@ -1524,87 +1758,13 @@ and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
      earlier clause variables' from the FLWOR's provenance env. *)
   let typing_env = (var, { seq = Mat []; snodes = source.snodes }) :: prov in
   let mode = join_key_mode ctx typing_env left_e right_e in
-  let keys_of env e = List.concat_map (join_key ctx mode) (materialize ctx (eval ctx env e)) in
+  let keys_of env e = join_keys ctx mode (eval ctx env e) in
+  let probe =
+    join_probe op (List.map (fun it -> (keys_of ((var, mat [ it ]) :: base) right_e, it)) items)
+  in
   let out =
-  match op with
-  | Ast.Eq ->
-    let table : (join_key, (int * item) list ref) Hashtbl.t = Hashtbl.create 256 in
-    List.iteri
-      (fun i it ->
-        let env = (var, mat [ it ]) :: base in
-        List.iter
-          (fun k ->
-            match Hashtbl.find_opt table k with
-            | Some l -> l := (i, it) :: !l
-            | None -> Hashtbl.add table k (ref [ (i, it) ]))
-          (List.sort_uniq compare (keys_of env right_e)))
-      items;
     List.concat_map
-      (fun d ->
-        let ks = List.sort_uniq compare (keys_of (d @ base) left_e) in
-        let matched =
-          List.concat_map
-            (fun k -> match Hashtbl.find_opt table k with Some l -> !l | None -> [])
-            ks
-        in
-        let matched = List.sort_uniq (fun (i, _) (j, _) -> compare i j) matched in
-        List.map (fun (_, it) -> (var, mat [ it ]) :: d) matched)
-      tuples
-  | Ast.Neq -> assert false
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-    (* sort inner items by key; binary-search the satisfying range *)
-    let keyed =
-      List.concat_map
-        (fun it ->
-          List.map (fun k -> (k, it)) (keys_of ((var, mat [ it ]) :: base) right_e))
-        items
-      |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
-      |> Array.of_list
-    in
-    let n = Array.length keyed in
-    (* first index with key "not less than" wrt probe, by predicate *)
-    let first_ge k =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let m = (!lo + !hi) / 2 in
-        if compare_join_key (fst keyed.(m)) k < 0 then lo := m + 1 else hi := m
-      done;
-      !lo
-    in
-    let first_gt k =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let m = (!lo + !hi) / 2 in
-        if compare_join_key (fst keyed.(m)) k <= 0 then lo := m + 1 else hi := m
-      done;
-      !lo
-    in
-    List.concat_map
-      (fun d ->
-        let ks = keys_of (d @ base) left_e in
-        let matched = Hashtbl.create 16 in
-        let order = ref [] in
-        let add_range lo hi =
-          for i = lo to hi - 1 do
-            let (_, it) = keyed.(i) in
-            if not (Hashtbl.mem matched i) then begin
-              Hashtbl.add matched i ();
-              order := (i, it) :: !order
-            end
-          done
-        in
-        List.iter
-          (fun k ->
-            (* left op right: e.g. left < right means right's key > left key *)
-            match op with
-            | Ast.Lt -> add_range (first_gt k) n
-            | Ast.Le -> add_range (first_ge k) n
-            | Ast.Gt -> add_range 0 (first_ge k)
-            | Ast.Ge -> add_range 0 (first_gt k)
-            | Ast.Eq | Ast.Neq -> assert false)
-          ks;
-        List.sort (fun (i, _) (j, _) -> compare i j) !order
-        |> List.map (fun (_, it) -> (var, mat [ it ]) :: d))
+      (fun d -> List.map (fun it -> (var, mat [ it ]) :: d) (probe (keys_of (d @ base) left_e)))
       tuples
   in
   (* compressed-domain joins are container-resolved: observe the join
@@ -1621,22 +1781,18 @@ and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
 (* Decide whether the Eq join binding [var] can run as a block merge
    join, and if so build the full plan. Applicability is checked from
    block headers and the summary only — no payload is decoded here:
-   - both key expressions are value paths rooted at a single variable,
-     the right side at [var] itself, the left side at an already-bound
-     variable with known provenance;
-   - both sides resolve through {!resolve_value_path} to containers
-     sharing one source model whose codec supports [`Eq], so equal
-     plaintexts have equal codes and the merge compares compressed;
-   - every container is a verified [sorted_run] (the precondition for
-     the header interval sweep);
+   - {!block_join_pairings} holds: both key expressions are value paths
+     rooted at a single variable (the right side at [var] itself, the
+     left side at an already-bound variable with known provenance)
+     resolving to [`Eq]-capable containers of one source model that are
+     verified [sorted_run]s, and the header-overlap estimate for this
+     many tuples favors the block join over the hash join;
    - every source item is a distinct tree node and every tuple binds
      the left variable to a single node, so matched records map back
-     through parent pointers to output positions;
-   - the header-overlap estimate ({!Cost_model.prefer_block_join})
-     favors the block join over the hash join. *)
+     through parent pointers to output positions. *)
 and block_join_plan ctx ~base ~prov ~var ~source ~tuples left_e right_e :
     block_plan option =
-  if not !block_join_enabled || tuples = [] then None
+  if tuples = [] then None
   else begin
     let typing_env = (var, { seq = Mat []; snodes = source.snodes }) :: prov in
     (* the left side's root variable, needed to map tuples to probe nodes *)
@@ -1645,8 +1801,11 @@ and block_join_plan ctx ~base ~prov ~var ~source ~tuples left_e right_e :
       | Ast.Path (Ast.Var v, _) | Ast.Var v -> Some v
       | _ -> None
     in
-    match block_join_sides ctx typing_env ~var left_e right_e, left_var with
-    | Some (lres, rres), Some lv ->
+    match
+      block_join_pairings ~tuples:(List.length tuples) ctx typing_env ~var left_e right_e,
+      left_var
+    with
+    | Some pairings, Some lv ->
         begin
           let items = materialize ctx source in
           let item_of_node = Hashtbl.create 256 in
@@ -1670,42 +1829,20 @@ and block_join_plan ctx ~base ~prov ~var ~source ~tuples left_e right_e :
             in
             if List.exists Option.is_none tuple_nodes then None
             else begin
-              let pairings =
-                List.concat_map
-                  (fun (lc, lhops) ->
-                    List.map
-                      (fun (rc, rhops) ->
-                        {
-                          bp_lc = lc;
-                          bp_lhops = lhops;
-                          bp_rc = rc;
-                          bp_rhops = rhops;
-                          bp_est =
-                            Cost_model.block_join_estimate (Container.headers lc)
-                              (Container.headers rc);
-                        })
-                      rres)
-                  lres
-              in
-              let ests = List.map (fun p -> p.bp_est) pairings in
-              if not (Cost_model.prefer_block_join ests ~tuples:(List.length tuples))
-              then None
-              else begin
-                let sum f = List.fold_left (fun a e -> a + f e) 0 ests in
-                Some
-                  {
-                    pl_items = Array.of_list items;
-                    pl_item_of_node = item_of_node;
-                    pl_tuple_nodes = List.filter_map Fun.id tuple_nodes;
-                    pl_pairings = pairings;
-                    pl_probed = sum (fun e -> e.Cost_model.bj_probed_blocks);
-                    pl_skipped = sum (fun e -> e.Cost_model.bj_skipped_blocks);
-                    pl_skipped_bytes =
-                      sum (fun e ->
-                          e.Cost_model.bj_left_skipped_bytes
-                          + e.Cost_model.bj_right_skipped_bytes);
-                  }
-              end
+              let sum f = List.fold_left (fun a p -> a + f p.bp_est) 0 pairings in
+              Some
+                {
+                  pl_items = Array.of_list items;
+                  pl_item_of_node = item_of_node;
+                  pl_tuple_nodes = List.filter_map Fun.id tuple_nodes;
+                  pl_pairings = pairings;
+                  pl_probed = sum (fun e -> e.Cost_model.bj_probed_blocks);
+                  pl_skipped = sum (fun e -> e.Cost_model.bj_skipped_blocks);
+                  pl_skipped_bytes =
+                    sum (fun e ->
+                        e.Cost_model.bj_left_skipped_bytes
+                        + e.Cost_model.bj_right_skipped_bytes);
+                }
             end
           end
         end
@@ -1852,222 +1989,17 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
     plan.pl_pairings;
   out
 
-(* Decorrelate a nested FLWOR bound in a LET: the Q8/Q9 pattern
-     let $a := for $t in ... where <inner> = <outer> return ...
-   Builds the inner table once and probes it per outer tuple. *)
-and decorrelate ctx base ~tuple_vars (e : Ast.expr) : (env -> item list) option =
-  match e with
-  | Ast.Flwor (clauses, ret) -> (
-    let base_vars = Sset.of_list (List.map fst base) in
-    let inner_bound =
-      List.fold_left
-        (fun acc c ->
-          match c with Ast.For (v, _) | Ast.Let (v, _) -> Sset.add v acc | _ -> acc)
-        Sset.empty clauses
-    in
-    (* every clause except where-conjuncts must avoid outer tuple vars *)
-    let clean_clauses_ok =
-      List.for_all
-        (fun c ->
-          match c with
-          | Ast.For (_, e) | Ast.Let (_, e) -> not (Analysis.mentions tuple_vars e)
-          | Ast.Where _ -> true
-          | Ast.Order_by keys -> not (List.exists (fun (k, _) -> Analysis.mentions tuple_vars k) keys))
-        clauses
-      && not (Analysis.mentions tuple_vars ret)
-    in
-    if not clean_clauses_ok then None
-    else begin
-      let conjs = List.concat_map (function Ast.Where e -> Analysis.conjuncts e | _ -> []) clauses in
-      let correlated, clean = List.partition (Analysis.mentions tuple_vars) conjs in
-      match correlated with
-      | [ c ] -> (
-        match
-          Analysis.join_conjunct ~left_vars:tuple_vars ~right_vars:inner_bound
-            ~outer:base_vars c
-        with
-        | Some (op, outer_e, inner_e) when op <> Ast.Neq ->
-          (* rebuild inner clause list without any Where, then re-add the
-             clean conjuncts as a single Where before the end *)
-          let structural =
-            List.filter (function Ast.Where _ -> false | _ -> true) clauses
-          in
-          let rebuilt =
-            match Analysis.conjoin clean with
-            | None -> structural
-            | Some w -> structural @ [ Ast.Where w ]
-          in
-          (* evaluate inner tuples once, in the base env *)
-          let inner_tuples = flwor_tuples ctx base rebuilt in
-          (* static env binding the inner variables' summary provenance,
-             so the join keys can be typed to compressed codes *)
-          let typing_env =
-            List.fold_left
-              (fun env c ->
-                match c with
-                | Ast.For (v, e) | Ast.Let (v, e) ->
-                  (v, { seq = Mat []; snodes = static_snodes ctx env e }) :: env
-                | Ast.Where _ | Ast.Order_by _ -> env)
-              base structural
-          in
-          let mode = join_key_mode ctx typing_env outer_e inner_e in
-          let keys_of env e =
-            List.concat_map (join_key ctx mode) (materialize ctx (eval ctx env e))
-          in
-          (match op with
-          | Ast.Eq ->
-            let table : (join_key, (int * env) list ref) Hashtbl.t = Hashtbl.create 256 in
-            List.iteri
-              (fun i d ->
-                List.iter
-                  (fun k ->
-                    match Hashtbl.find_opt table k with
-                    | Some l -> l := (i, d) :: !l
-                    | None -> Hashtbl.add table k (ref [ (i, d) ]))
-                  (List.sort_uniq compare (keys_of (d @ base) inner_e)))
-              inner_tuples;
-            Some
-              (fun outer_delta ->
-                let ks = List.sort_uniq compare (keys_of (outer_delta @ base) outer_e) in
-                let matched =
-                  List.concat_map
-                    (fun k -> match Hashtbl.find_opt table k with Some l -> !l | None -> [])
-                    ks
-                  |> List.sort_uniq (fun (i, _) (j, _) -> compare i j)
-                in
-                List.concat_map
-                  (fun (_, d) ->
-                    materialize ctx (eval ctx (d @ outer_delta @ base) ret))
-                  matched)
-          | _ ->
-            (* inequality correlation: sorted probe array *)
-            let keyed =
-              List.concat_map
-                (fun d -> List.map (fun k -> (k, d)) (keys_of (d @ base) inner_e))
-                inner_tuples
-              |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
-              |> Array.of_list
-            in
-            let n = Array.length keyed in
-            let first_ge k =
-              let lo = ref 0 and hi = ref n in
-              while !lo < !hi do
-                let m = (!lo + !hi) / 2 in
-                if compare_join_key (fst keyed.(m)) k < 0 then lo := m + 1 else hi := m
-              done;
-              !lo
-            in
-            let first_gt k =
-              let lo = ref 0 and hi = ref n in
-              while !lo < !hi do
-                let m = (!lo + !hi) / 2 in
-                if compare_join_key (fst keyed.(m)) k <= 0 then lo := m + 1 else hi := m
-              done;
-              !lo
-            in
-            Some
-              (fun outer_delta ->
-                let ks = keys_of (outer_delta @ base) outer_e in
-                let matched = Hashtbl.create 16 in
-                let order = ref [] in
-                let add_range lo hi =
-                  for i = lo to hi - 1 do
-                    if not (Hashtbl.mem matched i) then begin
-                      Hashtbl.add matched i ();
-                      order := (i, snd keyed.(i)) :: !order
-                    end
-                  done
-                in
-                List.iter
-                  (fun k ->
-                    match op with
-                    | Ast.Lt -> add_range (first_gt k) n
-                    | Ast.Le -> add_range (first_ge k) n
-                    | Ast.Gt -> add_range 0 (first_ge k)
-                    | Ast.Ge -> add_range 0 (first_gt k)
-                    | Ast.Eq | Ast.Neq -> assert false)
-                  ks;
-                List.sort (fun (i, _) (j, _) -> compare i j) !order
-                |> List.concat_map (fun (_, d) ->
-                       materialize ctx (eval ctx (d @ outer_delta @ base) ret))))
-        | _ -> None)
-      | _ -> None
-    end)
-  | _ -> None
-
-(* Evaluate a FLWOR's clause pipeline and return the binding tuples
-   (deltas), without evaluating a return expression. *)
-and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
-  (* Reuse eval_flwor by returning a marker? Simpler: inline a light
-     version without join detection (the rebuilt inner pipeline is already
-     join-free in the common patterns, and correctness is what matters). *)
-  let tuples = ref [ [] ] in
-  List.iter
-    (fun clause ->
-      match clause with
-      | Ast.For (v, e) ->
-        tuples :=
-          List.concat_map
-            (fun d ->
-              let items = materialize ctx (eval ctx (d @ base) e) in
-              List.map (fun it -> (v, mat [ it ]) :: d) items)
-            !tuples
-      | Ast.Let (v, e) ->
-        tuples := List.map (fun d -> (v, eval ctx (d @ base) e) :: d) !tuples
-      | Ast.Where e ->
-        tuples := List.filter (fun d -> ebv ctx (eval ctx (d @ base) e)) !tuples
-      | Ast.Order_by _ -> ())
-    clauses;
-  !tuples
-
-(* --- Join keys --- *)
-
-and join_key_mode ctx base left_e right_e : key_mode =
-  let conts_of e = static_value_containers ctx base e in
-  match conts_of left_e, conts_of right_e with
-  | Some (l :: ls), Some (r :: rs) ->
-    let mid = l.Container.model_id in
-    if
-      r.Container.model_id = mid
-      && List.for_all (fun (c : Container.t) -> c.Container.model_id = mid) (ls @ rs)
-      && Compress.Codec.supports l.Container.algorithm `Eq
-    then Mode_code (mid, l)
-    else Mode_atom
-  | _ -> Mode_atom
-
-(* Static summary-node resolution for an expression (no data access):
-   used to type join keys for variables that are only bound inside a
-   nested FLWOR being decorrelated. *)
-and static_snodes ctx (env : env) (e : Ast.expr) : Summary.node list =
-  match e with
-  | Ast.Doc _ -> [ ctx.repo.Repository.summary.Summary.root ]
-  | Ast.Var v -> (match List.assoc_opt v env with Some b -> b.snodes | None -> [])
-  | Ast.Context -> (match List.assoc_opt "." env with Some b -> b.snodes | None -> [])
-  | Ast.Path (src, steps) ->
-    List.fold_left
-      (fun sn (st : Ast.step) ->
-        match st.Ast.test with Ast.Text -> sn | _ -> advance_snodes ctx sn st)
-      (static_snodes ctx env src) steps
-  | Ast.Distinct_values e -> static_snodes ctx env e
-  | _ -> []
-
-and static_value_containers ctx env (e : Ast.expr) : Container.t list option =
-  match e with
-  | Ast.Path (src, steps) -> (
-    let snodes0 =
-      match src with
-      | Ast.Doc _ -> Some [ ctx.repo.Repository.summary.Summary.root ]
-      | Ast.Var v -> (
-        match List.assoc_opt v env with Some b -> Some b.snodes | None -> None)
-      | Ast.Context -> (
-        match List.assoc_opt "." env with Some b -> Some b.snodes | None -> None)
-      | _ -> None
-    in
-    match snodes0 with
-    | None | Some [] -> None
-    | Some snodes ->
-      Option.map (List.map fst) (resolve_value_path ctx snodes steps))
-  | _ -> None
+(* Execute a decorrelation: build the inner tuples once through the
+   clause pipeline, then answer each outer tuple by probing them. *)
+and decorrelate ctx base (dc : decorrelation) : env -> item list =
+  let keys_of env e = join_keys ctx dc.dc_mode (eval ctx env e) in
+  let probe =
+    join_probe dc.dc_op
+      (List.map (fun d -> (keys_of (d @ base) dc.dc_inner, d)) (flwor_tuples ctx base dc.dc_clauses))
+  in
+  fun outer_delta ->
+    probe (keys_of (outer_delta @ base) dc.dc_outer)
+    |> List.concat_map (fun d -> materialize ctx (eval ctx (d @ outer_delta @ base) dc.dc_return))
 
 (* Predicate-mix observation for a general comparison: the FLWOR
    [where] path evaluates comparisons tuple-at-a-time and never reaches
@@ -2124,29 +2056,6 @@ and note_cmp_obs ctx env (op : Ast.cmp_op) ~(a : Ast.expr) ~(b : Ast.expr) ~(xs 
       match from_items xs, from_items ys with
       | Some cs, _ | None, Some cs -> List.iter note cs
       | None, None -> ()))
-
-and join_key ctx (mode : key_mode) (it : item) : join_key list =
-  let it = match it with Att (_, v) -> v | it -> it in
-  match mode, it with
-  | Mode_code (mid, _), Cval { cont; code } when cont.Container.model_id = mid ->
-    [ Kcode code ]
-  | Mode_code (_, shared), _ ->
-    (* same model, different physical item: re-compress the atom *)
-    [ Kcode (Container.compress_constant shared (atom_string ctx it)) ]
-  | Mode_atom, it -> (
-    match atom_number ctx it with
-    | Some f -> [ Knum f ]
-    | None -> [ Kstr (atom_string ctx it) ])
-
-and compare_join_key (a : join_key) (b : join_key) : int =
-  match a, b with
-  | Kcode x, Kcode y -> String.compare x y
-  | Knum x, Knum y -> compare x y
-  | Kstr x, Kstr y -> String.compare x y
-  | Kcode _, _ -> -1
-  | _, Kcode _ -> 1
-  | Knum _, Kstr _ -> -1
-  | Kstr _, Knum _ -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -128,9 +128,6 @@ val resolve_value_path :
 
 (** {2 Join key typing} *)
 
-(** A hash-join key: a compressed code, or an atomized number/string. *)
-type join_key = Kcode of string | Knum of float | Kstr of string
-
 (** How both join sides will be keyed. *)
 type key_mode =
   | Mode_code of int * Container.t
@@ -142,6 +139,62 @@ type key_mode =
     model, else atomized values. *)
 val join_key_mode : ctx -> env -> Xquery.Ast.expr -> Xquery.Ast.expr -> key_mode
 
+(** {2 Planning decisions}
+
+    Pure functions of the query, the summary and container metadata —
+    no record is read. The executor plans with them and the optimizer's
+    EXPLAIN reports their answers. *)
+
+(** Static summary-node provenance of an expression: the summary nodes
+    its items would be instances of, given the variables' provenance in
+    [env] ([[]] when unknown). *)
+val static_snodes : ctx -> env -> Xquery.Ast.expr -> Summary.node list
+
+(** [bind_static ctx env v e] binds [v] to [e]'s {!static_snodes} (with
+    an empty sequence) in front of [env]. *)
+val bind_static : ctx -> env -> string -> Xquery.Ast.expr -> env
+
+(** The join conjunct a FOR binding [var] consumes: the first of the
+    conjuncts comparing [var] with the [bound] variables by anything but
+    [!=], returned with its (operator, bound side, [var] side) reading.
+    [base_vars] are the FLWOR's enclosing variables. *)
+val find_join :
+  bound:Analysis.Sset.t ->
+  base_vars:Analysis.Sset.t ->
+  var:string ->
+  Xquery.Ast.expr list ->
+  (Xquery.Ast.expr * (Xquery.Ast.cmp_op * Xquery.Ast.expr * Xquery.Ast.expr)) option
+
+(** A correlated LET-bound nested FLWOR rewritten as a join (the XMark
+    Q8/Q9 pattern): the inner tuples of [dc_clauses] are built once and
+    probed per outer tuple on [dc_outer dc_op dc_inner], keyed by
+    [dc_mode]; each match contributes its [dc_return]. *)
+type decorrelation = {
+  dc_op : Xquery.Ast.cmp_op;
+  dc_outer : Xquery.Ast.expr;  (** key over the outer tuple *)
+  dc_inner : Xquery.Ast.expr;  (** key over an inner tuple *)
+  dc_clauses : Xquery.Ast.clause list;
+      (** the inner clauses, correlated conjunct removed *)
+  dc_return : Xquery.Ast.expr;
+  dc_mode : key_mode;
+}
+
+(** Decorrelation applicability for a LET expression correlated with
+    the outer [tuple_vars]: a FLWOR whose clauses (other than its
+    where-conjuncts) and return avoid [tuple_vars], with exactly one
+    conjunct mentioning them, and that one a non-[!=] join between outer
+    and inner variables. [prov] carries the provenance of the outer
+    variables (for typing the keys); [base_vars] are the enclosing
+    FLWOR's own enclosing variables. [None] means a correlated
+    re-evaluation per tuple. *)
+val decorrelation :
+  ctx ->
+  prov:env ->
+  base_vars:Analysis.Sset.t ->
+  tuple_vars:Analysis.Sset.t ->
+  Xquery.Ast.expr ->
+  decorrelation option
+
 (** {2 Block-interval merge join}
 
     The compressed-domain join fast path: when both key sides of an
@@ -151,20 +204,33 @@ val join_key_mode : ctx -> env -> Xquery.Ast.expr -> Xquery.Ast.expr -> key_mode
     codes record-wise — values are never decompressed and
     non-overlapping blocks are never fetched. *)
 
-(** Static applicability for the block merge join of the FOR variable
-    [var]: both key expressions are single-variable value paths (the
-    right side rooted at [var]) resolving to containers that share one
-    [`Eq]-capable source model and are verified [sorted_run]s. Returns
-    the (container, hops-to-variable) resolutions of the left and right
-    sides. Shared with the optimizer's EXPLAIN, which pairs the sides'
-    headers through {!Cost_model.block_join_estimate}. *)
-val block_join_sides :
+(** One (left container, right container) pairing of a block join, with
+    the hops from each side's records to its variable and the pair's
+    header-overlap estimate. *)
+type block_pairing = {
+  bp_lc : Container.t;
+  bp_lhops : int;
+  bp_rc : Container.t;
+  bp_rhops : int;
+  bp_est : Cost_model.block_join_estimate;
+}
+
+(** The block-vs-hash choice for the equality join binding the FOR
+    variable [var]: [Some pairings] when the block merge join is enabled
+    ({!set_block_join}), statically applicable — both key expressions are
+    single-variable value paths (the right side rooted at [var])
+    resolving to containers that share one [`Eq]-capable source model
+    and are verified [sorted_run]s — and favored by
+    {!Cost_model.prefer_block_join} for [tuples] outer tuples (default
+    [max_int]: unknown, as in EXPLAIN). *)
+val block_join_pairings :
+  ?tuples:int ->
   ctx ->
   env ->
   var:string ->
   Xquery.Ast.expr ->
   Xquery.Ast.expr ->
-  ((Container.t * int) list * (Container.t * int) list) option
+  block_pairing list option
 
 (** Process-wide block-join counters, maintained as atomics (so they
     accumulate with telemetry off, like the buffer-pool stats):
@@ -183,10 +249,10 @@ val join_stats : unit -> join_stats
 (** Zero the block-join counters (benchmark / test isolation). *)
 val reset_join_stats : unit -> unit
 
-(** Enable or disable the block merge join (defaults to enabled unless
-    the environment sets [XQUEC_BLOCK_JOIN=0]); when off, equality
-    joins always take the hash-join path — the differential tests and
-    the bench's skip-ratio experiment toggle this. *)
+(** Enable or disable the block merge join (enabled by default); when
+    off, equality joins always take the hash-join path — the
+    differential tests and the bench's skip-ratio experiment toggle
+    this. *)
 val set_block_join : bool -> unit
 
 (** One container-resolved predicate observed during evaluation: a

@@ -95,26 +95,7 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
   let container_paths cs = List.map (fun (c : Container.t) -> c.Container.path) cs in
   (* walk the expression, maintaining an executor-style env of snode
      provenance (bindings carry empty item lists) *)
-  let bind_snodes env v snodes =
-    (v, { Executor.seq = Executor.Mat []; snodes }) :: env
-  in
-  let rec snodes_of env e : Summary.node list =
-    match e with
-    | Ast.Doc _ -> [ repo.Repository.summary.Summary.root ]
-    | Ast.Var v -> (
-      match List.assoc_opt v env with Some b -> b.Executor.snodes | None -> [])
-    | Ast.Context -> (
-      match List.assoc_opt "." env with Some b -> b.Executor.snodes | None -> [])
-    | Ast.Path (src, steps) ->
-      List.fold_left
-        (fun sn (st : Ast.step) ->
-          match st.Ast.test with
-          | Ast.Text -> sn
-          | _ -> Executor.advance_snodes ctx sn st)
-        (snodes_of env src) steps
-    | Ast.Distinct_values e -> snodes_of env e
-    | _ -> []
-  in
+  let on_codes = function Executor.Mode_code _ -> true | Executor.Mode_atom -> false in
   let analyze_pred snodes (e : Ast.expr) =
     match Executor.recognize_pushable e with
     | None -> ()
@@ -149,8 +130,8 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
     match e with
     | Ast.Path (src, steps) ->
       walk env src;
-      let src_snodes = snodes_of env src in
-      let final = snodes_of env e in
+      let src_snodes = Executor.static_snodes ctx env src in
+      let final = Executor.static_snodes ctx env e in
       let has_pos =
         List.exists
           (fun (st : Ast.step) ->
@@ -174,7 +155,7 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
               | Ast.Pos _ | Ast.Pos_last -> ()
               | Ast.Cond c ->
                 analyze_pred !sn c;
-                walk (bind_snodes env "." !sn) c)
+                walk ((".", { Executor.seq = Executor.Mat []; snodes = !sn }) :: env) c)
             st.Ast.predicates)
         steps
     | Ast.Flwor (clauses, ret) -> walk_flwor env clauses ret
@@ -192,7 +173,7 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
       walk env a
     | Ast.Some_satisfies (v, a, c) | Ast.Every_satisfies (v, a, c) ->
       walk env a;
-      walk (bind_snodes env v (snodes_of env a)) c
+      walk (Executor.bind_static ctx env v a) c
     | Ast.Element (_, attrs, kids) ->
       List.iter
         (fun (_, v) -> match v with Ast.Attr_expr e -> walk env e | Ast.Attr_string _ -> ())
@@ -200,129 +181,65 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
       List.iter (walk env) kids
     | Ast.Sequence es -> List.iter (walk env) es
     | Ast.Literal_string _ | Ast.Literal_number _ | Ast.Var _ | Ast.Context | Ast.Doc _ -> ()
+  (* the executor's clause pipeline, minus the data: each FOR/LET asks
+     the executor's own planning functions what it will do *)
   and walk_flwor env clauses ret =
     let base_vars = Sset.of_list (List.map fst env) in
-    let conjuncts =
-      List.concat_map (function Ast.Where e -> Analysis.conjuncts e | _ -> []) clauses
-    in
+    let conjuncts = Analysis.where_conjuncts clauses in
     let bound = ref Sset.empty in
     let inner_env = ref env in
-    let join_on_codes env left_e right_e =
-      match Executor.join_key_mode ctx env left_e right_e with
-      | Executor.Mode_code _ -> true
-      | Executor.Mode_atom -> false
+    let bind v e =
+      inner_env := Executor.bind_static ctx !inner_env v e;
+      bound := Sset.add v !bound
     in
     List.iter
       (fun clause ->
         match clause with
         | Ast.For (v, e) ->
           walk !inner_env e;
-          let correlated = Analysis.mentions !bound e in
-          if not correlated then begin
-            let right_vars = Sset.singleton v in
-            let join =
-              List.find_map
-                (fun c ->
-                  Analysis.join_conjunct ~left_vars:!bound ~right_vars ~outer:base_vars c)
-                conjuncts
-            in
-            match join with
-            | Some (op, left_e, right_e) when op <> Ast.Neq ->
-              let typing_env = bind_snodes !inner_env v (snodes_of !inner_env e) in
-              let on_codes = join_on_codes typing_env left_e right_e in
-              if op = Ast.Eq then begin
-                (* Prefer the header-driven block merge join whenever it is
-                   statically applicable and the header intersection says it
-                   decodes no more than a hash join would at scale (the
-                   executor re-checks at runtime with the real tuple count). *)
-                match Executor.block_join_sides ctx typing_env ~var:v left_e right_e with
-                | Some (lres, rres) ->
-                  let ests =
-                    List.concat_map
-                      (fun ((lc : Container.t), _) ->
-                        List.map
-                          (fun ((rc : Container.t), _) ->
-                            Cost_model.block_join_estimate (Container.headers lc)
-                              (Container.headers rc))
-                          rres)
-                      lres
-                  in
-                  if Cost_model.prefer_block_join ests ~tuples:max_int then begin
-                    let probed =
-                      List.fold_left (fun a e -> a + e.Cost_model.bj_probed_blocks) 0 ests
-                    in
-                    let skipped =
-                      List.fold_left (fun a e -> a + e.Cost_model.bj_skipped_blocks) 0 ests
-                    in
-                    let total = probed + skipped in
-                    emit
-                      (Block_join
-                         { variable = v; left = short left_e; right = short right_e;
-                           blocks_probed = probed; blocks_skipped = skipped;
-                           skip_fraction =
-                             (if total = 0 then 0.0 else float_of_int skipped /. float_of_int total)
-                         })
-                  end
-                  else
-                    emit
-                      (Hash_join { variable = v; left = short left_e; right = short right_e; on_codes })
-                | None ->
-                  emit
-                    (Hash_join { variable = v; left = short left_e; right = short right_e; on_codes })
-              end
-              else
-                emit
-                  (Sorted_probe { variable = v; left = short left_e; right = short right_e; on_codes })
-            | _ -> ()
-          end;
-          inner_env := bind_snodes !inner_env v (snodes_of !inner_env e);
-          bound := Sset.add v !bound
+          let typing_env = Executor.bind_static ctx !inner_env v e in
+          (if not (Analysis.mentions !bound e) then
+             match Executor.find_join ~bound:!bound ~base_vars ~var:v conjuncts with
+             | Some (_, (op, left_e, right_e)) -> (
+               let left = short left_e and right = short right_e in
+               let on_codes = on_codes (Executor.join_key_mode ctx typing_env left_e right_e) in
+               match
+                 if op = Ast.Eq then
+                   Executor.block_join_pairings ctx typing_env ~var:v left_e right_e
+                 else None
+               with
+               | Some pairings ->
+                 let sum f =
+                   List.fold_left (fun a (p : Executor.block_pairing) -> a + f p.Executor.bp_est)
+                     0 pairings
+                 in
+                 let probed = sum (fun e -> e.Cost_model.bj_probed_blocks) in
+                 let skipped = sum (fun e -> e.Cost_model.bj_skipped_blocks) in
+                 let total = probed + skipped in
+                 emit
+                   (Block_join
+                      { variable = v; left; right; blocks_probed = probed;
+                        blocks_skipped = skipped;
+                        skip_fraction =
+                          (if total = 0 then 0.0 else float_of_int skipped /. float_of_int total)
+                      })
+               | None when op = Ast.Eq -> emit (Hash_join { variable = v; left; right; on_codes })
+               | None -> emit (Sorted_probe { variable = v; left; right; on_codes }))
+             | None -> ());
+          bind v e
         | Ast.Let (v, e) ->
-          let correlated = Analysis.mentions !bound e in
-          (if correlated then begin
-             match e with
-             | Ast.Flwor (inner_clauses, _) ->
-               let inner_bound =
-                 List.fold_left
-                   (fun acc c ->
-                     match c with
-                     | Ast.For (v, _) | Ast.Let (v, _) -> Sset.add v acc
-                     | _ -> acc)
-                   Sset.empty inner_clauses
-               in
-               let inner_conjs =
-                 List.concat_map
-                   (function Ast.Where e -> Analysis.conjuncts e | _ -> [])
-                   inner_clauses
-               in
-               let correlated_conjs = List.filter (Analysis.mentions !bound) inner_conjs in
-               (match correlated_conjs with
-               | [ c ] -> (
-                 match
-                   Analysis.join_conjunct ~left_vars:!bound ~right_vars:inner_bound
-                     ~outer:base_vars c
-                 with
-                 | Some (op, outer_e, inner_e) when op <> Ast.Neq ->
-                   let typing_env =
-                     List.fold_left
-                       (fun env c ->
-                         match c with
-                         | Ast.For (w, e) | Ast.Let (w, e) ->
-                           bind_snodes env w (snodes_of env e)
-                         | Ast.Where _ | Ast.Order_by _ -> env)
-                       !inner_env inner_clauses
-                   in
-                   emit
-                     (Decorrelate
-                        { variable = v; op = Ast.cmp_name op;
-                          on_codes = join_on_codes typing_env outer_e inner_e })
-                 | _ -> emit (Correlated_loop { variable = v }))
-               | _ -> emit (Correlated_loop { variable = v }))
-             | _ -> emit (Correlated_loop { variable = v })
-           end);
+          if Analysis.mentions !bound e then
+            emit
+              (match
+                 Executor.decorrelation ctx ~prov:!inner_env ~base_vars ~tuple_vars:!bound e
+               with
+              | Some dc ->
+                Decorrelate
+                  { variable = v; op = Ast.cmp_name dc.Executor.dc_op;
+                    on_codes = on_codes dc.Executor.dc_mode }
+              | None -> Correlated_loop { variable = v });
           walk !inner_env e;
-          inner_env := bind_snodes !inner_env v (snodes_of !inner_env e);
-          bound := Sset.add v !bound
+          bind v e
         | Ast.Where e ->
           (* constant-side conjuncts resolve to container pushdowns *)
           List.iter

@@ -12,9 +12,7 @@ module Metrics = Metrics
 module Explain = Explain
 module Query_log = Query_log
 module Expo = Expo
-module Hammer = Hammer
 module Budget = Budget
-module Gate = Gate
 module Heat = Heat
 module Profile = Profile
 module Watch = Watch

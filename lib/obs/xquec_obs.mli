@@ -27,18 +27,9 @@ module Query_log = Query_log
     worker-pool fan-out and accept-time admission control. *)
 module Expo = Expo
 
-(** Load-generation HTTP client (blocking single requests plus a
-    select-multiplexed concurrent driver) for tests and the serving
-    bench. *)
-module Hammer = Hammer
-
 (** Per-query wall-clock / decoded-bytes budgets, armed per domain and
     polled by the storage layer. *)
 module Budget = Budget
-
-(** Benchmark regression gate: tolerance-aware BENCH_results.json
-    comparison. *)
-module Gate = Gate
 
 (** Per-container / per-block access heat accounting (always-on
     atomics behind their own switch). *)

@@ -8,6 +8,7 @@
 
 open Xquec_core
 module Obs = Xquec_obs
+module Hammer = Xquec_harness.Hammer
 
 let with_fresh_telemetry f =
   Obs.reset ();
@@ -340,34 +341,34 @@ let test_midrun_swap_under_concurrent_clients () =
         done)
   in
   let outcomes =
-    Obs.Hammer.drive ~port ~clients:9 ~requests_per_client:6
+    Hammer.drive ~port ~clients:9 ~requests_per_client:6
       ~target:(fun client _seq -> ("POST", "/query", query_of client))
       ()
   in
   Domain.join swapper;
   Alcotest.(check int) "every request answered" (9 * 6) (List.length outcomes);
   List.iter
-    (fun (o : Obs.Hammer.outcome) ->
+    (fun (o : Hammer.outcome) ->
       Alcotest.(check int)
-        (Printf.sprintf "client %d seq %d status" o.Obs.Hammer.o_client o.Obs.Hammer.o_seq)
-        200 o.Obs.Hammer.o_reply.Obs.Hammer.r_status;
+        (Printf.sprintf "client %d seq %d status" o.Hammer.o_client o.Hammer.o_seq)
+        200 o.Hammer.o_reply.Hammer.r_status;
       Alcotest.(check string)
         (Printf.sprintf "client %d seq %d bytes identical across swaps"
-           o.Obs.Hammer.o_client o.Obs.Hammer.o_seq)
-        expected.(o.Obs.Hammer.o_client mod 3)
-        o.Obs.Hammer.o_reply.Obs.Hammer.r_body)
+           o.Hammer.o_client o.Hammer.o_seq)
+        expected.(o.Hammer.o_client mod 3)
+        o.Hammer.o_reply.Hammer.r_body)
     outcomes;
   Alcotest.(check int) "six swaps happened" 6
     (Storage.Compactor.snapshot ()).Storage.Compactor.k_compactions;
   Alcotest.(check int) "epoch counted every swap" 6
     (Storage.Repository.container repo id).Storage.Container.compaction_epoch;
   (* the serve surface reports the compactor *)
-  let r = Obs.Hammer.request ~port "/compact" in
-  Alcotest.(check int) "/compact status" 200 r.Obs.Hammer.r_status;
+  let r = Hammer.request ~port "/compact" in
+  Alcotest.(check int) "/compact status" 200 r.Hammer.r_status;
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("/compact has " ^ needle) true
-        (contains r.Obs.Hammer.r_body needle))
+        (contains r.Hammer.r_body needle))
     [ "\"busy\":false"; "\"compactions\":6"; ids_path ]
 
 (* ------------------------------------------------------------------ *)

@@ -286,6 +286,87 @@ let test_explain_block_join () =
     Alcotest.(check bool) "skip fraction in (0,1]" true (frac > 0.0 && frac <= 1.0)
   | None -> Alcotest.fail "no block join decision in EXPLAIN"
 
+(* EXPLAIN reports the executor's own decisions: a nested FLWOR is
+   "decorrelated" exactly when the profiled run has a decorrelate
+   operator, and each hash join / sorted probe it reports for a
+   top-level FOR is an operator of that kind. In the "watches" query
+   the inner FOR ranges over the outer tuple's own subtree, which rules
+   decorrelation out. *)
+let test_explain_agrees_with_executor () =
+  let xml = Xmark.Xmlgen.generate ~scale:0.04 () in
+  let repo = Loader.load ~name:"auction.xml" xml in
+  let watches =
+    "for $p in document(\"auction.xml\")/site/people/person \
+     let $a := for $w in $p/watches/watch where $w/@open_auction = $p/@id return $w \
+     return <p>{count($a)}</p>"
+  in
+  (* variables of FLWORs not nested in another FLWOR: the ones the
+     executor opens profiled operators for *)
+  let rec top_vars (e : Xquery.Ast.expr) =
+    match e with
+    | Xquery.Ast.Flwor (clauses, _) ->
+      List.filter_map
+        (function Xquery.Ast.For (v, _) | Xquery.Ast.Let (v, _) -> Some v | _ -> None)
+        clauses
+    | Xquery.Ast.Element (_, _, kids) -> List.concat_map top_vars kids
+    | Xquery.Ast.Aggregate (_, a) -> top_vars a
+    | _ -> []
+  in
+  List.iter
+    (fun (id, text) ->
+      let ast = Xquery.Parser.parse text in
+      let top = top_vars ast in
+      let ds = Optimizer.explain repo ast in
+      let (_, plan) = Executor.run_profiled repo ast in
+      let ops =
+        Xquec_obs.Explain.fold
+          (fun acc n -> (n.Xquec_obs.Explain.kind, n.Xquec_obs.Explain.op) :: acc)
+          [] plan
+      in
+      let has kind op = List.mem (kind, op) ops in
+      let expect what v b =
+        if List.mem v top then
+          Alcotest.(check bool) (Printf.sprintf "%s: %s $%s" id what v) true b
+      in
+      List.iter
+        (function
+          | Optimizer.Decorrelate { variable = v; _ } ->
+            expect "decorrelate operator for" v (has "decorrelate" ("decorrelate $" ^ v))
+          | Optimizer.Correlated_loop { variable = v } ->
+            expect "no decorrelate operator for" v (not (has "decorrelate" ("decorrelate $" ^ v)))
+          | Optimizer.Hash_join { variable = v; _ } ->
+            expect "hash join operator for" v (has "hash_join" ("hash join $" ^ v))
+          | Optimizer.Sorted_probe { variable = v; _ } ->
+            expect "sorted probe operator for" v (has "sorted_probe" ("sorted probe $" ^ v))
+          | _ -> ())
+        ds;
+      List.iter
+        (fun (kind, op) ->
+          if kind = "decorrelate" then
+            Alcotest.(check bool) (Printf.sprintf "%s: %s reported" id op) true
+              (List.exists
+                 (function
+                   | Optimizer.Decorrelate { variable = v; _ } -> op = "decorrelate $" ^ v
+                   | _ -> false)
+                 ds))
+        ops;
+      if id = "watches" then
+        Alcotest.(check bool) "watches: correlated loop reported" true
+          (List.exists (function Optimizer.Correlated_loop _ -> true | _ -> false) ds))
+    (List.map (fun (q : Xmark.Queries.query) -> (q.Xmark.Queries.id, q.Xmark.Queries.text))
+       Xmark.Queries.all
+    @ [
+        ("watches", watches);
+        ( "eq join",
+          "for $t in document(\"auction.xml\")/site/closed_auctions/closed_auction, \
+           $p in document(\"auction.xml\")/site/people/person \
+           where $t/buyer/@person = $p/@id return $p/name/text()" );
+        ( "inequality join",
+          "count(for $i in document(\"auction.xml\")/site/open_auctions/open_auction/initial, \
+           $c in document(\"auction.xml\")/site/closed_auctions/closed_auction \
+           where $i/text() > $c/price/text() return $c)" );
+      ])
+
 (* ------------------------------------------------------------------ *)
 (* Physical plans                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -381,6 +462,7 @@ let suites =
           test_explain_join_on_codes_after_partitioning;
         Alcotest.test_case "explain Q9 hash join" `Quick test_explain_q9_join;
         Alcotest.test_case "explain block merge join" `Quick test_explain_block_join;
+        Alcotest.test_case "explain agrees with executor" `Quick test_explain_agrees_with_executor;
       ] );
     ( "physical-plans",
       [

@@ -5,6 +5,7 @@
 
 open Xquec_core
 module Obs = Xquec_obs
+module Gate = Xquec_harness.Gate
 
 let with_fresh_telemetry f =
   Obs.reset ();
@@ -620,27 +621,27 @@ let gate_results counts_v digest_v ms_v =
 let test_gate_pass_and_perturb () =
   let baseline = gate_results 1000.0 "abc" 10.0 in
   (* identical run passes, and harness wall time is never compared *)
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline ~candidate:baseline in
-  Alcotest.(check bool) "identical passes" true r.Obs.Gate.r_passed;
-  Alcotest.(check int) "nothing failed" 0 r.Obs.Gate.r_failed;
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline ~candidate:baseline in
+  Alcotest.(check bool) "identical passes" true r.Gate.r_passed;
+  Alcotest.(check int) "nothing failed" 0 r.Gate.r_failed;
   (* a count drifting 10% fails; 2% passes (5% tolerance) *)
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline
       ~candidate:(gate_results 1100.0 "abc" 10.0) in
-  Alcotest.(check bool) "10% count drift fails" false r.Obs.Gate.r_passed;
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline
+  Alcotest.(check bool) "10% count drift fails" false r.Gate.r_passed;
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline
       ~candidate:(gate_results 1020.0 "abc" 10.0) in
-  Alcotest.(check bool) "2% count drift passes" true r.Obs.Gate.r_passed;
+  Alcotest.(check bool) "2% count drift passes" true r.Gate.r_passed;
   (* digests are exact *)
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline
       ~candidate:(gate_results 1000.0 "beef" 10.0) in
-  Alcotest.(check bool) "digest mismatch fails" false r.Obs.Gate.r_passed;
+  Alcotest.(check bool) "digest mismatch fails" false r.Gate.r_passed;
   (* timings have generous slack in full mode and are skipped in quick *)
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline
       ~candidate:(gate_results 1000.0 "abc" 100.0) in
-  Alcotest.(check bool) "10x timing fails in full mode" false r.Obs.Gate.r_passed;
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Quick ~baseline
+  Alcotest.(check bool) "10x timing fails in full mode" false r.Gate.r_passed;
+  let r = Gate.compare_results ~mode:Gate.Quick ~baseline
       ~candidate:(gate_results 1000.0 "abc" 100.0) in
-  Alcotest.(check bool) "timing skipped in quick mode" true r.Obs.Gate.r_passed
+  Alcotest.(check bool) "timing skipped in quick mode" true r.Gate.r_passed
 
 let test_gate_missing_and_skipped () =
   let baseline = gate_results 1000.0 "abc" 10.0 in
@@ -652,18 +653,18 @@ let test_gate_missing_and_skipped () =
           Obs.Json.Obj [ ("exp1", Obs.Json.Obj [ ("wall_s", Obs.Json.Num 1.0) ]) ] );
       ]
   in
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline ~candidate:without_metric in
-  Alcotest.(check bool) "missing metric fails" false r.Obs.Gate.r_passed;
-  Alcotest.(check bool) "counted as missing" true (r.Obs.Gate.r_missing > 0);
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline ~candidate:without_metric in
+  Alcotest.(check bool) "missing metric fails" false r.Gate.r_passed;
+  Alcotest.(check bool) "counted as missing" true (r.Gate.r_missing > 0);
   (* a whole absent experiment is skipped (how --quick runs a subset) *)
   let empty = Obs.Json.Obj [ ("experiments", Obs.Json.Obj []) ] in
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline ~candidate:empty in
-  Alcotest.(check int) "no failures" 0 r.Obs.Gate.r_failed;
-  Alcotest.(check bool) "but an all-skipped run cannot pass" false r.Obs.Gate.r_passed;
-  Alcotest.(check bool) "skipped counted" true (r.Obs.Gate.r_skipped > 0);
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline ~candidate:empty in
+  Alcotest.(check int) "no failures" 0 r.Gate.r_failed;
+  Alcotest.(check bool) "but an all-skipped run cannot pass" false r.Gate.r_passed;
+  Alcotest.(check bool) "skipped counted" true (r.Gate.r_skipped > 0);
   (* the verdict JSON round-trips with the summary counters *)
-  let r = Obs.Gate.compare_results ~mode:Obs.Gate.Full ~baseline ~candidate:baseline in
-  match Obs.Gate.report_to_json r with
+  let r = Gate.compare_results ~mode:Gate.Full ~baseline ~candidate:baseline in
+  match Gate.report_to_json r with
   | Obs.Json.Obj fields ->
     Alcotest.(check (option bool)) "passed field" (Some true)
       (match List.assoc_opt "passed" fields with

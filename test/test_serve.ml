@@ -7,6 +7,7 @@
 
 open Xquec_core
 module Obs = Xquec_obs
+module Hammer = Xquec_harness.Hammer
 
 let with_fresh_telemetry f =
   Obs.reset ();
@@ -136,7 +137,7 @@ let test_admission_sheds_beyond_max_inflight () =
   in
   Fun.protect ~finally:(fun () -> release (); Obs.Expo.stop server)
   @@ fun () ->
-  let blocked = List.init 2 (fun _ -> Domain.spawn (fun () -> Obs.Hammer.request ~port "/block")) in
+  let blocked = List.init 2 (fun _ -> Domain.spawn (fun () -> Hammer.request ~port "/block")) in
   (* wait until both requests are admitted and parked in the handler *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while
@@ -154,8 +155,8 @@ let test_admission_sheds_beyond_max_inflight () =
   release ();
   let replies = List.map Domain.join blocked in
   List.iter
-    (fun (r : Obs.Hammer.reply) ->
-      Alcotest.(check int) "blocked requests finish with 200" 200 r.Obs.Hammer.r_status)
+    (fun (r : Hammer.reply) ->
+      Alcotest.(check int) "blocked requests finish with 200" 200 r.Hammer.r_status)
     replies;
   let s = Obs.Expo.stats () in
   Alcotest.(check bool) "rejection counted" true (s.Obs.Expo.e_rejected >= 1);
@@ -228,12 +229,12 @@ let test_epipe_mid_response_survives () =
     Unix.close sock
   done;
   (* the server must still be alive and serving *)
-  let r = Obs.Hammer.request ~port "/healthz" in
-  Alcotest.(check int) "server survives RST storms" 200 r.Obs.Hammer.r_status;
-  let q = Obs.Hammer.request ~port ~meth:"POST"
+  let r = Hammer.request ~port "/healthz" in
+  Alcotest.(check int) "server survives RST storms" 200 r.Hammer.r_status;
+  let q = Hammer.request ~port ~meth:"POST"
       ~body:"document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" "/query"
   in
-  Alcotest.(check int) "queries still served" 200 q.Obs.Hammer.r_status
+  Alcotest.(check int) "queries still served" 200 q.Hammer.r_status
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent correctness                                              *)
@@ -258,7 +259,7 @@ let test_concurrent_clients_correct_results () =
      concurrency is caught exactly *)
   let clients = 12 and per_client = 4 in
   let outcomes =
-    Obs.Hammer.drive ~port ~clients ~requests_per_client:per_client
+    Hammer.drive ~port ~clients ~requests_per_client:per_client
       ~target:(fun client seq ->
         ("POST", "/query", Printf.sprintf "%d+%d" (10 * client) seq))
       ()
@@ -266,14 +267,14 @@ let test_concurrent_clients_correct_results () =
   Alcotest.(check int) "every request answered" (clients * per_client)
     (List.length outcomes);
   List.iter
-    (fun (o : Obs.Hammer.outcome) ->
+    (fun (o : Hammer.outcome) ->
       Alcotest.(check int)
-        (Printf.sprintf "client %d seq %d status" o.Obs.Hammer.o_client o.Obs.Hammer.o_seq)
-        200 o.Obs.Hammer.o_reply.Obs.Hammer.r_status;
+        (Printf.sprintf "client %d seq %d status" o.Hammer.o_client o.Hammer.o_seq)
+        200 o.Hammer.o_reply.Hammer.r_status;
       Alcotest.(check string)
-        (Printf.sprintf "client %d seq %d result" o.Obs.Hammer.o_client o.Obs.Hammer.o_seq)
-        (Printf.sprintf "%d\n" ((10 * o.Obs.Hammer.o_client) + o.Obs.Hammer.o_seq))
-        o.Obs.Hammer.o_reply.Obs.Hammer.r_body)
+        (Printf.sprintf "client %d seq %d result" o.Hammer.o_client o.Hammer.o_seq)
+        (Printf.sprintf "%d\n" ((10 * o.Hammer.o_client) + o.Hammer.o_seq))
+        o.Hammer.o_reply.Hammer.r_body)
     outcomes
 
 let test_window_concurrent_writers () =

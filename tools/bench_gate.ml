@@ -2,7 +2,7 @@
    committed baseline (BENCH_results.json) with per-metric-class
    tolerances and emit a machine-readable verdict.
 
-   The comparison logic lives in Xquec_obs.Gate (pure JSON in / report
+   The comparison logic lives in Xquec_harness.Gate (pure JSON in / report
    out); this executable is just argument parsing, file IO and exit
    codes:
 
@@ -18,6 +18,8 @@
 
    Exit status: 0 = gate passed, 1 = regression (failed or missing
    metrics), 2 = bad usage / unreadable input. *)
+
+module Gate = Xquec_harness.Gate
 
 let usage =
   "bench_gate [--baseline FILE] [--candidate FILE] [--quick] [--json OUT] [--history FILE]"
@@ -67,7 +69,7 @@ let iso8601 t =
    experiment's harness wall time, so `git log -p BENCH_history.jsonl`
    shows the perf trajectory. A failed append is a warning, not an
    error — the gate verdict must not depend on a writable worktree. *)
-let append_history ~cand (report : Xquec_obs.Gate.report) =
+let append_history ~cand (report : Gate.report) =
   let module J = Xquec_obs.Json in
   let walls =
     match J.member "experiments" cand with
@@ -86,11 +88,11 @@ let append_history ~cand (report : Xquec_obs.Gate.report) =
       [
         ("ts", J.Str (iso8601 (Unix.gettimeofday ())));
         ("mode", J.Str (if !quick then "quick" else "full"));
-        ("passed", J.Bool report.Xquec_obs.Gate.r_passed);
-        ("compared", n report.Xquec_obs.Gate.r_compared);
-        ("failed", n report.Xquec_obs.Gate.r_failed);
-        ("missing", n report.Xquec_obs.Gate.r_missing);
-        ("skipped", n report.Xquec_obs.Gate.r_skipped);
+        ("passed", J.Bool report.Gate.r_passed);
+        ("compared", n report.Gate.r_compared);
+        ("failed", n report.Gate.r_failed);
+        ("missing", n report.Gate.r_missing);
+        ("skipped", n report.Gate.r_skipped);
         ("wall_s", J.Obj walls);
       ]
   in
@@ -104,19 +106,19 @@ let append_history ~cand (report : Xquec_obs.Gate.report) =
 let () =
   Arg.parse spec (fun a -> die "unexpected argument %S" a) usage;
   if !candidate = "" then die "missing --candidate FILE (fresh bench results)";
-  let mode = if !quick then Xquec_obs.Gate.Quick else Xquec_obs.Gate.Full in
+  let mode = if !quick then Gate.Quick else Gate.Full in
   let cand = read_json ~what:"candidate" !candidate in
   let report =
-    Xquec_obs.Gate.compare_results ~mode
+    Gate.compare_results ~mode
       ~baseline:(read_json ~what:"baseline" !baseline)
       ~candidate:cand
   in
   if !history <> "" then append_history ~cand report;
   if !json_out <> "" then begin
     let oc = open_out !json_out in
-    output_string oc (Xquec_obs.Json.to_string (Xquec_obs.Gate.report_to_json report));
+    output_string oc (Xquec_obs.Json.to_string (Gate.report_to_json report));
     output_char oc '\n';
     close_out oc
   end;
-  print_string (Xquec_obs.Gate.render report);
-  exit (if report.Xquec_obs.Gate.r_passed then 0 else 1)
+  print_string (Gate.render report);
+  exit (if report.Gate.r_passed then 0 else 1)

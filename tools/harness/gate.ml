@@ -33,6 +33,8 @@
    that is how --quick runs a subset. Extra candidate metrics are
    ignored (new measurements land before their baseline). *)
 
+module Json = Xquec_obs.Json
+
 type mode = Full | Quick
 
 type status = Pass | Fail | Skipped | Ignored | Missing

@@ -40,11 +40,12 @@ type report = {
 }
 
 (** Compare parsed baseline and candidate result files. *)
-val compare_results : mode:mode -> baseline:Json.t -> candidate:Json.t -> report
+val compare_results :
+  mode:mode -> baseline:Xquec_obs.Json.t -> candidate:Xquec_obs.Json.t -> report
 
 (** Machine-readable verdict (summary counters plus every non-pass
     entry). *)
-val report_to_json : report -> Json.t
+val report_to_json : report -> Xquec_obs.Json.t
 
 (** Human-readable verdict: one line per failure, then the summary. *)
 val render : report -> string

@@ -1,6 +1,6 @@
 (* Serving smoke check (`make serve-smoke`): start the real `xquec
    serve` binary against a small repository, fire a burst of concurrent
-   requests at it through Xquec_obs.Hammer (the curl-equivalent),
+   requests at it through Xquec_harness.Hammer (the curl-equivalent),
    replay a shifted query mix until the drift watchdog raises
    [drift_sustained] on /alerts and in the alert log, and assert a
    clean shutdown on SIGTERM. This is the one place the whole serving
@@ -12,6 +12,8 @@
 
    Exit 0 on success; nonzero with a message on the first failed
    assertion. *)
+
+module Hammer = Xquec_harness.Hammer
 
 let die fmt = Fmt.kstr (fun s -> prerr_endline ("serve_smoke: " ^ s); exit 1) fmt
 
@@ -80,19 +82,19 @@ let () =
   in
   Printf.printf "serve_smoke: server up on port %d\n%!" port;
   (* health + one sequential query first, then the concurrent burst *)
-  let h = Xquec_obs.Hammer.request ~port "/healthz" in
-  if h.Xquec_obs.Hammer.r_status <> 200 then die "healthz returned %d" h.Xquec_obs.Hammer.r_status;
-  if not (contains h.Xquec_obs.Hammer.r_body "\"status\":\"ok\"") then
-    die "healthz is not the readiness JSON: %s" h.Xquec_obs.Hammer.r_body;
-  if not (contains h.Xquec_obs.Hammer.r_body "\"watchdog\"") then
-    die "healthz readiness JSON lacks the watchdog section: %s" h.Xquec_obs.Hammer.r_body;
-  let r = Xquec_obs.Hammer.request ~port ~meth:"POST" ~body:q "/query" in
-  if r.Xquec_obs.Hammer.r_status <> 200 then
-    die "query returned %d: %s" r.Xquec_obs.Hammer.r_status r.Xquec_obs.Hammer.r_body;
-  let reference = r.Xquec_obs.Hammer.r_body in
+  let h = Hammer.request ~port "/healthz" in
+  if h.Hammer.r_status <> 200 then die "healthz returned %d" h.Hammer.r_status;
+  if not (contains h.Hammer.r_body "\"status\":\"ok\"") then
+    die "healthz is not the readiness JSON: %s" h.Hammer.r_body;
+  if not (contains h.Hammer.r_body "\"watchdog\"") then
+    die "healthz readiness JSON lacks the watchdog section: %s" h.Hammer.r_body;
+  let r = Hammer.request ~port ~meth:"POST" ~body:q "/query" in
+  if r.Hammer.r_status <> 200 then
+    die "query returned %d: %s" r.Hammer.r_status r.Hammer.r_body;
+  let reference = r.Hammer.r_body in
   let clients = 20 and per_client = 3 in
   let outcomes =
-    Xquec_obs.Hammer.drive ~port ~clients ~requests_per_client:per_client
+    Hammer.drive ~port ~clients ~requests_per_client:per_client
       ~target:(fun _ seq ->
         if seq = 1 then ("GET", "/metrics", "") else ("POST", "/query", q))
       ()
@@ -100,21 +102,21 @@ let () =
   if List.length outcomes <> clients * per_client then
     die "expected %d outcomes, got %d" (clients * per_client) (List.length outcomes);
   List.iter
-    (fun (o : Xquec_obs.Hammer.outcome) ->
-      let rep = o.Xquec_obs.Hammer.o_reply in
-      if rep.Xquec_obs.Hammer.r_status <> 200 then
-        die "client %d seq %d: HTTP %d" o.Xquec_obs.Hammer.o_client
-          o.Xquec_obs.Hammer.o_seq rep.Xquec_obs.Hammer.r_status;
-      if o.Xquec_obs.Hammer.o_seq <> 1 && rep.Xquec_obs.Hammer.r_body <> reference then
+    (fun (o : Hammer.outcome) ->
+      let rep = o.Hammer.o_reply in
+      if rep.Hammer.r_status <> 200 then
+        die "client %d seq %d: HTTP %d" o.Hammer.o_client
+          o.Hammer.o_seq rep.Hammer.r_status;
+      if o.Hammer.o_seq <> 1 && rep.Hammer.r_body <> reference then
         die "client %d seq %d: result differs from the sequential reference"
-          o.Xquec_obs.Hammer.o_client o.Xquec_obs.Hammer.o_seq)
+          o.Hammer.o_client o.Hammer.o_seq)
     outcomes;
   (* the /metrics replies must carry the serving series *)
   let metrics_seen =
     List.exists
-      (fun (o : Xquec_obs.Hammer.outcome) ->
-        o.Xquec_obs.Hammer.o_seq = 1
-        && contains o.Xquec_obs.Hammer.o_reply.Xquec_obs.Hammer.r_body
+      (fun (o : Hammer.outcome) ->
+        o.Hammer.o_seq = 1
+        && contains o.Hammer.o_reply.Hammer.r_body
              "xquec_serve_plan_cache_hits")
       outcomes
   in
@@ -122,9 +124,9 @@ let () =
   Printf.printf "serve_smoke: %d concurrent requests ok (results consistent, metrics live)\n%!"
     (clients * per_client);
   (* --- drift watchdog: replay a shifted mix until the alert fires --- *)
-  let w = Xquec_obs.Hammer.request ~port "/watch" in
-  if w.Xquec_obs.Hammer.r_status <> 200 || not (contains w.Xquec_obs.Hammer.r_body "\"enabled\":true")
-  then die "/watch did not report an enabled watchdog: %s" w.Xquec_obs.Hammer.r_body;
+  let w = Hammer.request ~port "/watch" in
+  if w.Hammer.r_status <> 200 || not (contains w.Hammer.r_body "\"enabled\":true")
+  then die "/watch did not report an enabled watchdog: %s" w.Hammer.r_body;
   let shifted =
     [
       "for $o in document(\"auction.xml\")/site/open_auctions/open_auction where $o/reserve > \
@@ -139,15 +141,15 @@ let () =
   while (not !fired) && Unix.gettimeofday () < deadline do
     List.iter
       (fun sq ->
-        let rep = Xquec_obs.Hammer.request ~port ~meth:"POST" ~body:sq "/query" in
-        if rep.Xquec_obs.Hammer.r_status <> 200 then
-          die "shifted query returned %d: %s" rep.Xquec_obs.Hammer.r_status
-            rep.Xquec_obs.Hammer.r_body)
+        let rep = Hammer.request ~port ~meth:"POST" ~body:sq "/query" in
+        if rep.Hammer.r_status <> 200 then
+          die "shifted query returned %d: %s" rep.Hammer.r_status
+            rep.Hammer.r_body)
       shifted;
-    let a = Xquec_obs.Hammer.request ~port "/alerts" in
+    let a = Hammer.request ~port "/alerts" in
     if
-      a.Xquec_obs.Hammer.r_status = 200
-      && contains a.Xquec_obs.Hammer.r_body "\"rule\":\"drift_sustained\",\"event\":\"fired\""
+      a.Hammer.r_status = 200
+      && contains a.Hammer.r_body "\"rule\":\"drift_sustained\",\"event\":\"fired\""
     then fired := true
     else Unix.sleepf 0.1
   done;
