@@ -40,8 +40,22 @@ let next_prefix (t : string) : string option =
   in
   go (String.length t - 1)
 
-let below_hi (s : string) (hi : string option) =
-  match hi with None -> true | Some h -> String.compare s h < 0
+let rec same_bytes a i b j l =
+  l = 0
+  || (String.unsafe_get a i = String.unsafe_get b j && same_bytes a (i + 1) b (j + 1) (l - 1))
+
+(* [String.compare a s'] where [s'] is the suffix of [s] from [i], read
+   in place; [k] bytes are known equal. *)
+let rec compare_from a s i k =
+  let la = String.length a and ls = String.length s - i in
+  if k = la || k = ls then compare la ls
+  else
+    let c = Char.compare (String.unsafe_get a k) (String.unsafe_get s (i + k)) in
+    if c <> 0 then c else compare_from a s i (k + 1)
+
+(* The suffix of [s] from [i] is below the exclusive upper bound [hi]. *)
+let below_hi (s : string) (i : int) (hi : string option) =
+  match hi with None -> true | Some h -> compare_from h s i 0 > 0
 
 let bound_lt (a : string option) (b : string option) =
   (* Compare exclusive upper bounds / lower bounds where None = +inf. *)
@@ -50,64 +64,164 @@ let bound_lt (a : string option) (b : string option) =
   | Some _, None -> true
   | Some x, Some y -> String.compare x y < 0
 
-let is_prefix ~prefix s =
-  String.length prefix <= String.length s
-  && String.sub s 0 (String.length prefix) = prefix
+(* [prefix] is a prefix of the suffix of [s] from [i]. *)
+let is_prefix_at ~prefix s i =
+  String.length prefix <= String.length s - i
+  && same_bytes prefix 0 s i (String.length prefix)
 
 (* ------------------------------------------------------------------ *)
 (* Token mining                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Frequent-substring mining: counts substrings of lengths 2..12 over a
-    byte-bounded sample of the values and keeps the [max_tokens] best by
-    estimated savings (occurrences x length). *)
+(* Candidate token lengths, and the number of distinct candidates one
+   mining run counts. *)
+let mine_lengths = [| 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 |]
+let max_candidates = 1 lsl 18
+
+(* The miner's counting table, sized from the sample and dropped after
+   the call: a table kept for reuse stays live between trainings and
+   costs more peak memory than it saves. Candidate [c] (ids in
+   first-seen order) is the slice of [src.(c)] at offset
+   [loc.(c) lsr 5] of length [loc.(c) land 31], seen [count.(c)] times.
+   [slots] is an open-addressing index of [2 ^ (63 - shift)] slots over
+   the candidates: 0 when empty, else the slice hash's bits from 24 up,
+   the slice length in bits 19-23 and [c + 1] below. *)
+type table = {
+  src : string array;
+  loc : int array;
+  count : int array;
+  slots : int array;
+  shift : int;
+  mutable counted : int;
+}
+
+let id_mask = 0x7ffff
+let hash_mask = lnot 0xffffff
+
+(* Count one occurrence of the slice of [v] at [i] of length [l], whose
+   hash is [h]. *)
+let count_slice t v i l h =
+  let key = h land hash_mask lor (l lsl 19) in
+  let mask = Array.length t.slots - 1 in
+  let s = ref (h lsr t.shift) in
+  let searching = ref true in
+  while !searching do
+    let e = Array.unsafe_get t.slots !s in
+    if e = 0 then begin
+      searching := false;
+      let c = t.counted in
+      if c < max_candidates then begin
+        t.src.(c) <- v;
+        t.loc.(c) <- (i lsl 5) lor l;
+        t.count.(c) <- 1;
+        Array.unsafe_set t.slots !s (key lor (c + 1));
+        t.counted <- c + 1
+      end
+    end
+    else begin
+      let c = (e land id_mask) - 1 in
+      if e land lnot id_mask = key && same_bytes v i t.src.(c) (t.loc.(c) lsr 5) l then begin
+        searching := false;
+        t.count.(c) <- t.count.(c) + 1
+      end
+      else s := (!s + 1) land mask
+    end
+  done
+
+(* Bucket count of a [Hashtbl.create 4096] after [n] additions: it
+   doubles whenever the size exceeds twice the bucket count. *)
+let hashtbl_buckets n =
+  let rec go b = if n > 2 * b then go (2 * b) else b in
+  go 4096
+
+(** Frequent-substring mining: counts the substrings of lengths 2..24
+    over a byte-bounded sample of the values and keeps the [max_tokens]
+    best by estimated savings (occurrences x length).
+
+    The rule is a contract, since the token set decides every image
+    byte. The sample is the values, in order, taken while the byte
+    budget is positive (the value that exhausts it is scanned whole).
+    Every slice of a listed length at every offset is a candidate; the
+    first [max_candidates] distinct candidates, in first-seen order, are
+    counted and later ones dropped. Candidates seen at least 3 times are
+    ranked by score descending, then by [Hashtbl.hash token land
+    (buckets - 1)] descending, then first-seen ascending, where
+    [buckets] is {!hashtbl_buckets} of the number counted: the order in
+    which a stable sort on score meets the candidates after a fold over
+    a [Hashtbl.create 4096] holding them. The result is the set of the
+    first [max_tokens], in no particular order. *)
 let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string list) :
     string list =
-  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let budget = ref sample_bytes in
-  let lengths = [ 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 ] in
+  let rec take acc budget = function
+    | v :: rest when budget > 0 -> take (v :: acc) (budget - String.length v) rest
+    | _ -> List.rev acc
+  in
+  let sample = take [] sample_bytes values in
+  let sampled = List.fold_left (fun acc v -> acc + String.length v) 0 sample in
+  (* distinct candidates are fewer than 11 per sampled byte *)
+  let cap = min max_candidates (Array.length mine_lengths * sampled) in
+  let rec log2_slots b = if 1 lsl b >= 2 * cap then b else log2_slots (b + 1) in
+  let bits = log2_slots 1 in
+  let t =
+    {
+      src = Array.make cap "";
+      loc = Array.make cap 0;
+      count = Array.make cap 0;
+      slots = Array.make (1 lsl bits) 0;
+      shift = 63 - bits;
+      counted = 0;
+    }
+  in
   let scan v =
     let n = String.length v in
-    budget := !budget - n;
     for i = 0 to n - 2 do
-      List.iter
-        (fun l ->
-          if i + l <= n then begin
-            let sub = String.sub v i l in
-            match Hashtbl.find_opt counts sub with
-            | Some r -> incr r
-            | None ->
-              if Hashtbl.length counts < 1 lsl 18 then
-                Hashtbl.add counts sub (ref 1)
-          end)
-        lengths
+      (* one multiplicative hash, extended across the lengths *)
+      let h = ref 0 and j = ref i and k = ref 0 in
+      while !k < Array.length mine_lengths && i + mine_lengths.(!k) <= n do
+        let l = mine_lengths.(!k) in
+        while !j < i + l do
+          h := (!h + Char.code (String.unsafe_get v !j) + 1) * 0x2545F4914F6CDD1D;
+          incr j
+        done;
+        count_slice t v i l !h;
+        incr k
+      done
     done
   in
-  let rec sample = function
-    | [] -> ()
-    | v :: rest ->
-      if !budget > 0 then begin
-        scan v;
-        sample rest
-      end
-  in
-  sample values;
-  let scored =
-    (* savings estimate: each occurrence replaces len bytes by ~1.5 code
-       bytes; require enough occurrences to pay for the dictionary entry *)
-    Hashtbl.fold
-      (fun tok r acc ->
-        if !r >= 3 then ((!r * (2 * String.length tok - 3)) - (2 * String.length tok), tok) :: acc
-        else acc)
-      counts []
-  in
-  let sorted = List.sort (fun (s, _) (s', _) -> compare s' s) scored in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (_, tok) :: rest -> tok :: take (n - 1) rest
-  in
-  take max_tokens sorted
+  List.iter scan sample;
+  let counted = t.counted in
+  if Xquec_obs.is_enabled () then begin
+    Xquec_obs.Metrics.incr ~by:sampled "codec.alm.sampled_bytes";
+    Xquec_obs.Metrics.incr ~by:counted "codec.alm.candidates"
+  end;
+  let len c = t.loc.(c) land 31 in
+  let token c = String.sub t.src.(c) (t.loc.(c) lsr 5) (len c) in
+  (* savings estimate: each occurrence replaces len bytes by ~1.5 code
+     bytes; require enough occurrences to pay for the dictionary entry *)
+  let score c = (t.count.(c) * ((2 * len c) - 3)) - (2 * len c) in
+  let kept = ref [] in
+  for c = counted - 1 downto 0 do
+    if t.count.(c) >= 3 then kept := c :: !kept
+  done;
+  let kept = !kept in
+  if List.compare_length_with kept max_tokens <= 0 then List.map token kept
+  else if max_tokens <= 0 then []
+  else begin
+    let scores = Array.of_list (List.map score kept) in
+    Array.sort (fun a b -> compare b a) scores;
+    let cutoff = scores.(max_tokens - 1) in
+    let above = List.filter (fun c -> score c > cutoff) kept in
+    let buckets = hashtbl_buckets counted in
+    let ties =
+      List.filter (fun c -> score c = cutoff) kept
+      |> List.map (fun c ->
+             let tok = token c in
+             (Hashtbl.hash tok land (buckets - 1), tok))
+      |> List.stable_sort (fun (b, _) (b', _) -> compare b' b)
+    in
+    List.map token above
+    @ List.filteri (fun i _ -> i < max_tokens - List.length above) (List.map snd ties)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Model construction                                                  *)
@@ -132,9 +246,9 @@ let build_intervals (tokens : string list) : interval array =
     let continue = ref true in
     while !continue && !j < n do
       let u = arr.(!j) in
-      if is_prefix ~prefix:t u then begin
+      if is_prefix_at ~prefix:t u 0 then begin
         (match !last_kept with
-        | Some k when is_prefix ~prefix:k u -> ()
+        | Some k when is_prefix_at ~prefix:k u 0 -> ()
         | Some _ | None ->
           exts := u :: !exts;
           last_kept := Some u);
@@ -185,33 +299,34 @@ let train ?max_tokens ?sample_bytes (values : string list) : model =
 (* Encoding / decoding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Rightmost interval whose [lo] is <= [s]; intervals are disjoint and
-   cover all nonempty strings, so this is the containing interval. *)
-let find_interval (m : model) (s : string) : int =
+(* Rightmost interval whose [lo] is <= the suffix of [s] from [i];
+   intervals are disjoint and cover all nonempty strings, so this is the
+   containing interval. *)
+let find_interval (m : model) (s : string) (i : int) : int =
   let lo = ref 0 and hi = ref (Array.length m.intervals - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if String.compare m.intervals.(mid).lo s <= 0 then lo := mid else hi := mid - 1
+    if compare_from m.intervals.(mid).lo s i 0 <= 0 then lo := mid else hi := mid - 1
   done;
   let itv = m.intervals.(!lo) in
-  if String.compare itv.lo s > 0 || not (below_hi s itv.hi) then
+  if compare_from itv.lo s i 0 > 0 || not (below_hi s i itv.hi) then
     raise (Corrupt "ALM: no covering interval");
   !lo
 
 let compress (m : model) (value : string) : string =
-  let w = Bitio.Writer.create ~size:(String.length value) () in
-  let rec go r =
-    if String.length r > 0 then begin
-      let i = find_interval m r in
-      let itv = m.intervals.(i) in
-      if not (is_prefix ~prefix:itv.token r) then
+  let n = String.length value in
+  let w = Bitio.Writer.create ~size:n () in
+  let rec go i =
+    if i < n then begin
+      let k = find_interval m value i in
+      let itv = m.intervals.(k) in
+      if not (is_prefix_at ~prefix:itv.token value i) then
         raise (Corrupt "ALM: interval token is not a prefix");
-      Bitio.Writer.add_bits w (i + 1) m.width;
-      go (String.sub r (String.length itv.token)
-            (String.length r - String.length itv.token))
+      Bitio.Writer.add_bits w (k + 1) m.width;
+      go (i + String.length itv.token)
     end
   in
-  go value;
+  go 0;
   Bitio.Writer.contents w
 
 let decompress (m : model) (compressed : string) : string =
@@ -274,14 +389,18 @@ let serialize_model (m : model) : string =
   Buffer.contents buf
 
 let deserialize_model (s : string) : model =
-  let pos = ref 0 in
+  let truncated () = failwith "alm: truncated model" in
+  let len = String.length s in
+  if len < 2 then truncated ();
   let n = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
-  pos := 2;
+  let pos = ref 2 in
   let tokens =
     List.init n (fun _ ->
-        let len = Char.code s.[!pos] in
-        let v = String.sub s (!pos + 1) len in
-        pos := !pos + 1 + len;
+        if !pos >= len then truncated ();
+        let l = Char.code s.[!pos] in
+        if l > len - !pos - 1 then truncated ();
+        let v = String.sub s (!pos + 1) l in
+        pos := !pos + 1 + l;
         v)
   in
   of_tokens tokens

@@ -21,7 +21,10 @@ exception Corrupt of string
 val of_tokens : string list -> model
 
 (** Train on container values; the dictionary budget adapts to the
-    container size so the source model never dwarfs the data. *)
+    container size so the source model never dwarfs the data. With
+    telemetry on, adds the bytes the token miner sampled to the
+    [codec.alm.sampled_bytes] counter and the distinct candidates it
+    counted to [codec.alm.candidates]. *)
 val train : ?max_tokens:int -> ?sample_bytes:int -> string list -> model
 
 (** Encode a plaintext value as a code-sequence byte string. *)
@@ -49,7 +52,8 @@ val model_tokens : model -> string list
 (** Serialize the model (its token list) for the repository. *)
 val serialize_model : model -> string
 
-(** Invert {!serialize_model}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!serialize_model}. Raises [Failure] on a truncated body,
+    like the repository's own framing errors. *)
 val deserialize_model : string -> model
 
 (** Serialized size in bytes (counted into the repository total). *)

@@ -52,12 +52,20 @@ let sample_container (c : Container.t) : string list =
   let budget = ref sample_bytes in
   let out = ref [] in
   let i = ref 0 in
-  while !i < n && !budget > 0 do
-    let v = Container.decompress_record c (Container.get c !i) in
-    budget := !budget - String.length v;
-    out := v :: !out;
-    i := !i + step
-  done;
+  (* blocks are decoded here rather than fetched through the buffer
+     pool: a one-off sample must not stay cached after the build *)
+  Array.iter
+    (fun (b : Container.block) ->
+      if !i < b.b_start + b.b_count && !budget > 0 then begin
+        let recs = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
+        while !i < b.b_start + b.b_count && !budget > 0 do
+          let v = Compress.Codec.decompress c.Container.model (fst recs.(!i - b.b_start)) in
+          budget := !budget - String.length v;
+          out := v :: !out;
+          i := !i + step
+        done
+      end)
+    c.Container.blocks;
   List.rev !out
 
 let create ?(weights = default_weights) (repo : Repository.t) (workload : Workload.t) : t =

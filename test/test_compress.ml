@@ -143,6 +143,186 @@ let test_huffman_compresses () =
   Alcotest.(check bool) "smaller than input" true
     (String.length c < String.length big_text)
 
+(* ------------------------------------------------------------------ *)
+(* ALM reference: the Hashtbl miner and the suffix-copying encoder,     *)
+(* copied verbatim from the first implementation                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The library's miner and encoder must choose the same tokens and emit
+   the same codes as these, or every image changes. *)
+module Alm_reference = struct
+  exception Corrupt of string
+
+  type interval = {
+    lo : string;           (* inclusive lower bound *)
+    hi : string option;    (* exclusive upper bound; None = +infinity *)
+    token : string;        (* prefix stripped/emitted for this interval *)
+  }
+
+  type model = {
+    intervals : interval array; (* sorted by [lo]; code of interval i is i+1 *)
+    width : int;                (* bits per code; code 0 is padding *)
+  }
+
+  (* Smallest string strictly greater than every string with prefix [t]. *)
+  let next_prefix (t : string) : string option =
+    let rec go i =
+      if i < 0 then None
+      else if t.[i] = '\xff' then go (i - 1)
+      else Some (String.sub t 0 i ^ String.make 1 (Char.chr (Char.code t.[i] + 1)))
+    in
+    go (String.length t - 1)
+
+  let below_hi (s : string) (hi : string option) =
+    match hi with None -> true | Some h -> String.compare s h < 0
+
+  let bound_lt (a : string option) (b : string option) =
+    (* Compare exclusive upper bounds / lower bounds where None = +inf. *)
+    match a, b with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some x, Some y -> String.compare x y < 0
+
+  let is_prefix ~prefix s =
+    String.length prefix <= String.length s
+    && String.sub s 0 (String.length prefix) = prefix
+
+  (** Frequent-substring mining: counts substrings of lengths 2..12 over a
+      byte-bounded sample of the values and keeps the [max_tokens] best by
+      estimated savings (occurrences x length). *)
+  let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string list) :
+      string list =
+    let counts : (string, int ref) Hashtbl.t = Hashtbl.create 4096 in
+    let budget = ref sample_bytes in
+    let lengths = [ 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 ] in
+    let scan v =
+      let n = String.length v in
+      budget := !budget - n;
+      for i = 0 to n - 2 do
+        List.iter
+          (fun l ->
+            if i + l <= n then begin
+              let sub = String.sub v i l in
+              match Hashtbl.find_opt counts sub with
+              | Some r -> incr r
+              | None ->
+                if Hashtbl.length counts < 1 lsl 18 then
+                  Hashtbl.add counts sub (ref 1)
+            end)
+          lengths
+      done
+    in
+    let rec sample = function
+      | [] -> ()
+      | v :: rest ->
+        if !budget > 0 then begin
+          scan v;
+          sample rest
+        end
+    in
+    sample values;
+    let scored =
+      (* savings estimate: each occurrence replaces len bytes by ~1.5 code
+         bytes; require enough occurrences to pay for the dictionary entry *)
+      Hashtbl.fold
+        (fun tok r acc ->
+          if !r >= 3 then ((!r * (2 * String.length tok - 3)) - (2 * String.length tok), tok) :: acc
+          else acc)
+        counts []
+    in
+    let sorted = List.sort (fun (s, _) (s', _) -> compare s' s) scored in
+    let rec take n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | (_, tok) :: rest -> tok :: take (n - 1) rest
+    in
+    take max_tokens sorted
+
+  let build_intervals (tokens : string list) : interval array =
+    (* All 256 single bytes guarantee total coverage of nonempty strings. *)
+    let all =
+      List.sort_uniq String.compare
+        (List.init 256 (fun i -> String.make 1 (Char.chr i)) @ tokens)
+    in
+    let arr = Array.of_list all in
+    let n = Array.length arr in
+    let intervals = ref [] in
+    for i = 0 to n - 1 do
+      let t = arr.(i) in
+      (* Minimal extensions of [t]: walk the sorted successors with prefix
+         [t], skipping descendants of an already-kept extension. *)
+      let exts = ref [] in
+      let last_kept = ref None in
+      let j = ref (i + 1) in
+      let continue = ref true in
+      while !continue && !j < n do
+        let u = arr.(!j) in
+        if is_prefix ~prefix:t u then begin
+          (match !last_kept with
+          | Some k when is_prefix ~prefix:k u -> ()
+          | Some _ | None ->
+            exts := u :: !exts;
+            last_kept := Some u);
+          incr j
+        end
+        else continue := false
+      done;
+      let exts = List.rev !exts in
+      (* Gaps of [t, next t) not covered by any extension's prefix range. *)
+      let t_hi = next_prefix t in
+      let lo = ref (Some t) in
+      List.iter
+        (fun u ->
+          (match !lo with
+          | Some lo_s when String.compare lo_s u < 0 ->
+            intervals := { lo = lo_s; hi = Some u; token = t } :: !intervals
+          | Some _ | None -> ());
+          lo := next_prefix u)
+        exts;
+      (match !lo with
+      | Some lo_s when bound_lt (Some lo_s) t_hi ->
+        intervals := { lo = lo_s; hi = t_hi; token = t } :: !intervals
+      | Some _ | None -> ())
+    done;
+    let arr = Array.of_list !intervals in
+    Array.sort (fun a b -> String.compare a.lo b.lo) arr;
+    arr
+
+  let of_tokens (tokens : string list) : model =
+    let intervals = build_intervals tokens in
+    let width = Bitio.width_for (Array.length intervals + 1) in
+    { intervals; width }
+
+  (* Rightmost interval whose [lo] is <= [s]; intervals are disjoint and
+     cover all nonempty strings, so this is the containing interval. *)
+  let find_interval (m : model) (s : string) : int =
+    let lo = ref 0 and hi = ref (Array.length m.intervals - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if String.compare m.intervals.(mid).lo s <= 0 then lo := mid else hi := mid - 1
+    done;
+    let itv = m.intervals.(!lo) in
+    if String.compare itv.lo s > 0 || not (below_hi s itv.hi) then
+      raise (Corrupt "ALM: no covering interval");
+    !lo
+
+  let compress (m : model) (value : string) : string =
+    let w = Bitio.Writer.create ~size:(String.length value) () in
+    let rec go r =
+      if String.length r > 0 then begin
+        let i = find_interval m r in
+        let itv = m.intervals.(i) in
+        if not (is_prefix ~prefix:itv.token r) then
+          raise (Corrupt "ALM: interval token is not a prefix");
+        Bitio.Writer.add_bits w (i + 1) m.width;
+        go (String.sub r (String.length itv.token)
+              (String.length r - String.length itv.token))
+      end
+    in
+    go value;
+    Bitio.Writer.contents w
+end
+
 (* --- ALM --- *)
 
 let test_alm_fig2 () =
@@ -201,6 +381,119 @@ let test_alm_compresses () =
   let c = Alm.compress m big_text in
   Alcotest.(check bool) "smaller than input" true
     (String.length c < String.length big_text)
+
+(* Seeded value lists for the miner differential. *)
+let random_value st ~alphabet len =
+  String.init len (fun _ -> alphabet.[Random.State.int st (String.length alphabet)])
+
+let random_values st ~alphabet ~count ~max_len =
+  List.init count (fun _ -> random_value st ~alphabet (Random.State.int st (max_len + 1)))
+
+(* [f ()] with telemetry on; returns its result and how far the
+   [codec.alm.candidates] counter moved. *)
+let with_candidates f =
+  Xquec_obs.with_enabled (fun () ->
+      let before = Xquec_obs.Metrics.counter_value "codec.alm.candidates" in
+      let r = f () in
+      (r, Xquec_obs.Metrics.counter_value "codec.alm.candidates" - before))
+
+let check_mined ?sample_bytes ~max_tokens label values =
+  let expected =
+    List.sort_uniq String.compare
+      (Alm_reference.mine_tokens ~max_tokens ?sample_bytes values)
+  in
+  let got = Alm.model_tokens (Alm.train ~max_tokens ?sample_bytes values) in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s, max_tokens %d" label max_tokens)
+    expected got
+
+let test_alm_miner_matches_reference () =
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      (* 2^18 distinct slices are reached about 30 KB into the long value;
+         the values after it only count slices already admitted *)
+      let long = random_value st ~alphabet:"abcdefghijklmnop" 60_000 in
+      let before = random_values st ~alphabet:"abcdefghijklmnop" ~count:50 ~max_len:40 in
+      let capped = before @ [ long ] @ before in
+      let (_, counted) = with_candidates (fun () -> Alm.train ~max_tokens:8 capped) in
+      Alcotest.(check int) "the cap is reached" (1 lsl 18) counted;
+      (* few words, so many candidates share a score at the cutoff *)
+      let words = [| "gold"; "ring"; "silver"; "the"; "of"; "band" |] in
+      let tied =
+        List.init 3000 (fun _ ->
+            String.concat " "
+              (List.init (1 + Random.State.int st 3) (fun _ ->
+                   words.(Random.State.int st (Array.length words)))))
+      in
+      (* 8000 distinct 2-byte values, each 3 times in seeded order: every
+         candidate has the same score, about two share each of the 4096
+         buckets, and the cutoff splits a bucket *)
+      let all_tied =
+        let pair i =
+          let c = i * 7919 land 0xffff in
+          String.init 2 (fun k -> Char.chr ((c lsr (8 * k)) land 0xff))
+        in
+        List.init 24_000 (fun i -> (Random.State.bits st, pair (i / 3)))
+        |> List.sort compare |> List.map snd
+      in
+      let binary =
+        [ ""; "\x00"; "\xff"; "a" ]
+        @ random_values st ~alphabet:"\x00\xff\x01\xfea" ~count:400 ~max_len:30
+      in
+      List.iter
+        (fun max_tokens ->
+          check_mined ~max_tokens (Printf.sprintf "cap reached, seed %d" seed) capped;
+          check_mined ~max_tokens (Printf.sprintf "score ties, seed %d" seed) tied;
+          check_mined ~max_tokens (Printf.sprintf "all tied, seed %d" seed) all_tied;
+          check_mined ~max_tokens (Printf.sprintf "binary bytes, seed %d" seed) binary;
+          List.iter
+            (fun sample_bytes ->
+              check_mined ~sample_bytes ~max_tokens
+                (Printf.sprintf "budget %d runs out mid-list, seed %d" sample_bytes seed)
+                tied)
+            (* the last: the budget reaches exactly 0 after 100 values *)
+            [ 1; 700; 5_000;
+              List.fold_left (fun acc v -> acc + String.length v) 0
+                (List.filteri (fun i _ -> i < 100) tied) ])
+        [ 8; 1024 ])
+    [ 1; 2 ]
+
+let test_alm_compress_matches_reference () =
+  let st = Random.State.make [| 17 |] in
+  let binary = random_values st ~alphabet:"\x00\xff\x01\xfeab" ~count:300 ~max_len:30 in
+  List.iter
+    (fun (label, m) ->
+      let reference = Alm_reference.of_tokens (Alm.model_tokens m) in
+      List.iter
+        (fun alphabet ->
+          List.iter
+            (fun v ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %S" label v)
+                (Alm_reference.compress reference v) (Alm.compress m v))
+            (random_values st ~alphabet ~count:300 ~max_len:60))
+        [ "thereis abc"; "\x00\xff\x01the"; String.init 256 Char.chr ])
+    [
+      ("fig. 2 tokens", Alm.of_tokens [ "the"; "there"; "ir"; "se" ]);
+      ("sample values", Lazy.force alm_model);
+      ("big text", Alm.train [ big_text ]);
+      ("binary values", Alm.train binary);
+    ]
+
+let test_alm_truncated_models () =
+  List.iter
+    (fun (label, body) ->
+      match Alm.deserialize_model body with
+      | _ -> Alcotest.failf "%s: loaded" label
+      | exception Failure m -> Alcotest.(check string) label "alm: truncated model" m
+      | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e))
+    [
+      ("empty body", "");
+      ("1-byte body", "\x00");
+      ("token count beyond the tokens", "\x00\x02\x02ab");
+      ("token length past the end", "\x00\x01\x05ab");
+    ]
 
 (* --- Arithmetic --- *)
 
@@ -380,6 +673,11 @@ let suites =
         Alcotest.test_case "prefix range extension" `Quick test_alm_prefix_range;
         Alcotest.test_case "model serialization" `Quick test_alm_model_serial;
         Alcotest.test_case "actually compresses" `Quick test_alm_compresses;
+        Alcotest.test_case "miner matches the Hashtbl reference" `Quick
+          test_alm_miner_matches_reference;
+        Alcotest.test_case "compress matches the suffix-copying reference" `Quick
+          test_alm_compress_matches_reference;
+        Alcotest.test_case "truncated models raise Failure" `Quick test_alm_truncated_models;
         QCheck_alcotest.to_alcotest
           (prop_roundtrip "alm" gen_string Alm.train Alm.compress Alm.decompress);
         QCheck_alcotest.to_alcotest prop_alm_order;

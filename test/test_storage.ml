@@ -692,6 +692,29 @@ let test_repository_v4_fixture_recompress () =
     (String.equal (read_fixture "v4_small.xqc")
        (Repository.serialize (Xquec_core.Engine.repo engine)))
 
+(* An image whose ALM training reaches the 2^18-candidate cap, which
+   v4_small.xqc never does: Datasets shakespeare (scale 1.5, seed 7,
+   148 KB) compressed without a workload; its LINE text container holds
+   86 KB of values. The digest is the MD5 of the image that `xquec
+   generate -d shakespeare -s 1.5 --seed 7 -o shakespeare.xml` and
+   `xquec compress shakespeare.xml` wrote at commit 66bdf81, the last
+   with the Hashtbl miner. *)
+let test_repository_cap_reaching_digest () =
+  let xml = Xmark.Datasets.shakespeare ~seed:7 ~scale:1.5 () in
+  let engine = Xquec_core.Engine.load ~name:"shakespeare.xml" xml in
+  Alcotest.(check string) "image digest" "ee1d246e445c6fd95e192523b7eddc3b"
+    (Digest.to_hex (Digest.string (Xquec_core.Engine.save engine)));
+  let largest =
+    Array.fold_left
+      (fun (a : Container.t) (c : Container.t) ->
+        if c.Container.plain_bytes > a.Container.plain_bytes then c else a)
+      (Xquec_core.Engine.repo engine).Repository.containers.(0)
+      (Xquec_core.Engine.repo engine).Repository.containers
+  in
+  let values = List.map fst (Container.dump largest) in
+  let (_, counted) = Test_compress.with_candidates (fun () -> Compress.Alm.train values) in
+  Alcotest.(check int) (largest.Container.path ^ " reaches the cap") (1 lsl 18) counted
+
 (* test/fixtures/v2_xmark.xqc and v3_xmark.xqc hold the repository of
    v4_small.xqc written by the retired v2 (plain-varint tree, no flags
    byte) and v3 (packed record tree) writers. Loading either must answer
@@ -861,6 +884,8 @@ let suites =
         Alcotest.test_case "v3 vs v4 query identity" `Quick test_v3_v4_query_identity;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
         Alcotest.test_case "packed tree round-trip" `Quick test_packed_tree_roundtrip;
+        Alcotest.test_case "repository cap-reaching image digest" `Quick
+          test_repository_cap_reaching_digest;
         Alcotest.test_case "repository framing errors are typed" `Quick
           test_repository_framing_errors;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;
